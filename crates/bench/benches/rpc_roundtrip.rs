@@ -1,14 +1,12 @@
 //! Criterion benches for the RPC substrate: framing, end-to-end
-//! round trips against a live server thread, and latency-model
+//! round trips through a lab-service session, and latency-model
 //! sampling throughput (the machinery behind Fig. 4).
-
-use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rad_core::{Command, CommandType, TraceMode};
-use rad_devices::LabRig;
-use rad_middlebox::rpc::{Duplex, FrameCodec, RpcClient, RpcServer};
-use rad_middlebox::LatencyModel;
+use rad_middlebox::rpc::{Duplex, FrameCodec, RetryPolicy};
+use rad_middlebox::{LabService, LatencyModel, ServerConfig};
+use rad_workloads::RemoteSession;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -24,20 +22,23 @@ fn bench_framing(c: &mut Criterion) {
     });
 }
 
+/// One lock-step query through a lab-service tenant over an in-process
+/// duplex: session framing, dedup cache and tracer, no socket.
 fn bench_rpc_roundtrip(c: &mut Criterion) {
+    let server = LabService::new(ServerConfig::default()).start();
     let (client_side, server_side) = Duplex::pair();
-    let _server = RpcServer::spawn(LabRig::new(0), server_side);
-    let mut client = RpcClient::new(client_side);
-    client
-        .call(
-            &Command::nullary(CommandType::InitIka),
-            Duration::from_secs(1),
-        )
+    server.attach(server_side).unwrap();
+    let mut session = RemoteSession::connect(client_side, "bench", RetryPolicy::default()).unwrap();
+    session
+        .issue(&Command::nullary(CommandType::InitIka))
+        .unwrap()
         .unwrap();
     let query = Command::nullary(CommandType::IkaReadRatedSpeed);
     c.bench_function("rpc_roundtrip_query", |b| {
-        b.iter(|| client.call(&query, Duration::from_secs(1)).unwrap())
+        b.iter(|| session.issue(&query).unwrap().unwrap())
     });
+    session.bye().unwrap();
+    server.drain().unwrap();
 }
 
 fn bench_latency_models(c: &mut Criterion) {

@@ -350,11 +350,11 @@ impl FaultPlan {
 /// Shared fault/recovery counters — the observability surface.
 ///
 /// Cheap to clone (an [`Arc`] of atomics); the same handle can be
-/// given to a [`FaultyDuplex`], an [`RpcClient`], an [`RpcServer`],
-/// and a [`Middlebox`] so one snapshot accounts for the whole path.
+/// given to both [`Faulty`] ends of a link and to a [`Middlebox`] so
+/// one snapshot accounts for the whole path. Server-side execution and
+/// dedup counts of the lab service live in
+/// [`ServerStats`](crate::server::ServerStats).
 ///
-/// [`RpcClient`]: crate::rpc::RpcClient
-/// [`RpcServer`]: crate::rpc::RpcServer
 /// [`Middlebox`]: crate::Middlebox
 #[derive(Debug, Clone, Default)]
 pub struct FaultStats {
@@ -373,7 +373,6 @@ struct FaultStatsInner {
     timeouts: AtomicU64,
     executions: AtomicU64,
     dedup_hits: AtomicU64,
-    dedup_evictions: AtomicU64,
     gaps: AtomicU64,
 }
 
@@ -408,7 +407,6 @@ impl FaultStats {
         note_timeout / timeouts => timeouts,
         note_execution / executions => executions,
         note_dedup_hit / dedup_hits => dedup_hits,
-        note_dedup_eviction / dedup_evictions => dedup_evictions,
         note_gap / gaps => gaps,
     }
 
@@ -425,7 +423,6 @@ impl FaultStats {
             timeouts: self.timeouts(),
             executions: self.executions(),
             dedup_hits: self.dedup_hits(),
-            dedup_evictions: self.dedup_evictions(),
             gaps: self.gaps(),
         }
     }
@@ -445,7 +442,6 @@ pub struct FaultStatsSnapshot {
     pub timeouts: u64,
     pub executions: u64,
     pub dedup_hits: u64,
-    pub dedup_evictions: u64,
     pub gaps: u64,
 }
 
@@ -455,7 +451,7 @@ impl fmt::Display for FaultStatsSnapshot {
             f,
             "delivered={} dropped={} duplicated={} corrupted={} held={} \
              disconnects={} retries={} timeouts={} executions={} dedup_hits={} \
-             dedup_evictions={} gaps={}",
+             gaps={}",
             self.delivered,
             self.dropped,
             self.duplicated,
@@ -466,7 +462,6 @@ impl fmt::Display for FaultStatsSnapshot {
             self.timeouts,
             self.executions,
             self.dedup_hits,
-            self.dedup_evictions,
             self.gaps,
         )
     }
@@ -615,14 +610,6 @@ impl<T: Transport> Faulty<T> {
         self.inner.recv(timeout)
     }
 
-    /// Blocking receive (pass-through; see [`Duplex::recv_blocking`]).
-    pub fn recv_blocking(&self) -> Option<Bytes> {
-        if self.state.lock().disconnected {
-            return None;
-        }
-        self.inner.recv_blocking()
-    }
-
     /// The stats handle observing this endpoint.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
@@ -636,10 +623,6 @@ impl<T: Transport> Transport for Faulty<T> {
 
     fn recv(&self, timeout: Duration) -> Result<Bytes, RadError> {
         Faulty::recv(self, timeout)
-    }
-
-    fn recv_blocking(&self) -> Option<Bytes> {
-        Faulty::recv_blocking(self)
     }
 }
 
@@ -953,12 +936,10 @@ mod tests {
         let stats = FaultStats::new();
         stats.note_retry();
         stats.note_gap();
-        stats.note_dedup_eviction();
+        stats.note_dedup_hit();
         let text = stats.snapshot().to_string();
         assert!(
-            text.contains("retries=1")
-                && text.contains("gaps=1")
-                && text.contains("dedup_evictions=1"),
+            text.contains("retries=1") && text.contains("gaps=1") && text.contains("dedup_hits=1"),
             "{text}"
         );
     }

@@ -9,10 +9,9 @@
 //! - [`LatencyModel`] — per-hop latency distributions calibrated to the
 //!   paper's Fig. 4 (DIRECT < 10 ms, REMOTE ≈ DIRECT + 2 ms with an
 //!   occasional > 30 ms tail, CLOUD ≈ 60 ms).
-//! - [`rpc`] — a genuinely threaded RPC substrate: length-prefixed
-//!   frames over in-process duplex transports, a server thread that
-//!   owns the device rig, and a blocking client with timeouts. This is
-//!   the gRPC substitute.
+//! - [`rpc`] — the gRPC substitute's transport layer: length-prefixed
+//!   frames, in-process duplex transports behind the [`rpc::Transport`]
+//!   trait, the idempotent-replay cache, and the client retry policy.
 //! - [`Middlebox`] — the deterministic simulation path used by the
 //!   dataset synthesizer: it routes commands per-device according to a
 //!   [`ModeConfig`] (DIRECT / REMOTE / CLOUD, hybrids allowed, exactly
@@ -23,11 +22,12 @@
 //!   path: a [`FaultPlan`] schedules drop / duplicate / reorder /
 //!   corrupt / delay / disconnect events per chunk, a
 //!   [`FaultyDuplex`] applies them to a live transport, and the client,
-//!   server, and [`Middlebox`] recover via retries, idempotent replay,
-//!   and DIRECT-fallback with [`rad_core::TraceGap`] markers.
-//! - [`server`] — the lab service: the same framed protocol over real
-//!   TCP and Unix-domain sockets, with a bounded worker pool, typed
-//!   admission control, per-tenant durable sink stacks behind bounded
+//!   the lab service, and [`Middlebox`] recover via retries, idempotent
+//!   replay, and DIRECT-fallback with [`rad_core::TraceGap`] markers.
+//! - [`server`] — the lab service, the one middlebox server: a framed
+//!   protocol over TCP, Unix-domain sockets, or any in-process
+//!   [`rpc::Transport`], with a bounded worker pool, typed admission
+//!   control, per-tenant durable sink stacks behind bounded
 //!   backpressure channels, deadline propagation, idle reaping,
 //!   quarantine, and graceful zero-loss drain.
 //! - [`PowerMonitor`] — the 25 Hz UR3e power monitor of Fig. 3
@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod faults;
 pub mod guard;
 pub mod latency;
@@ -62,7 +61,6 @@ pub mod sinks;
 pub mod tracer;
 pub mod wire;
 
-pub use cluster::{RpcCluster, ShardPlan};
 pub use faults::{
     FaultPlan, FaultProfile, FaultSpec, FaultStats, FaultStatsSnapshot, Faulty, FaultyDuplex, Lane,
     WireFault,

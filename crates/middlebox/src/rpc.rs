@@ -2,62 +2,47 @@
 //! middlebox.
 //!
 //! RATracer tunnels each intercepted call through gRPC. This module
-//! reproduces the moving parts that matter for a middlebox deployment:
+//! holds the transport-level parts of that relay; the one server loop
+//! that executes requests is the [`LabService`](crate::server::LabService)
+//! session loop, fed by sockets and in-process transports alike:
 //!
 //! - a length-prefixed [`FrameCodec`] that reassembles frames from an
 //!   arbitrarily-chunked byte stream,
 //! - [`Duplex`] in-process byte transports (the socket substitute) and
 //!   the [`Transport`] trait that lets the fault layer interpose a
 //!   [`FaultyDuplex`](crate::faults::FaultyDuplex),
-//! - a [`RpcServer`] thread that owns the device rig and executes one
-//!   request at a time — the single RPC server loop of the real
-//!   deployment — with an idempotency cache so a retried request is
-//!   answered from memory instead of re-executed, and
-//! - a blocking [`RpcClient`] with per-call timeouts and an optional
-//!   retry-with-exponential-backoff [`RetryPolicy`].
+//! - the [`DedupCache`] that answers a retried request from memory
+//!   instead of re-executing it, and
+//! - the retry-with-exponential-backoff [`RetryPolicy`] clients run
+//!   under, with its declarative [`RetrySpec`] form.
 //!
 //! # Examples
 //!
 //! ```
-//! use rad_core::{Command, CommandType};
-//! use rad_devices::LabRig;
-//! use rad_middlebox::rpc::{Duplex, RpcClient, RpcServer};
+//! use rad_middlebox::rpc::{Duplex, FrameCodec, Transport};
 //! use std::time::Duration;
 //!
 //! let (client_side, server_side) = Duplex::pair();
-//! let server = RpcServer::spawn(LabRig::new(0), server_side);
-//! let mut client = RpcClient::new(client_side);
-//! let value = client.call(&Command::nullary(CommandType::InitIka), Duration::from_secs(1))?;
-//! assert_eq!(value, rad_core::Value::Unit);
-//! drop(client); // closing the transport stops the server loop
-//! server.join().expect("server thread exits cleanly");
+//! client_side.send(FrameCodec::encode(b"hello"))?;
+//! let mut codec = FrameCodec::new();
+//! codec.push(&server_side.recv(Duration::from_secs(1))?);
+//! assert_eq!(codec.next_frame()?.unwrap().as_ref(), b"hello");
 //! # Ok::<(), rad_core::RadError>(())
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rad_core::{spec, Command, RadError, Value};
-use rad_devices::LabRig;
-use serde::{Deserialize, Serialize};
-
-use crate::faults::FaultStats;
-use crate::wire::{self, WireCodecKind};
+use rad_core::{spec, RadError};
 
 /// Maximum accepted frame size (defensive bound against corrupt length
 /// prefixes).
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// How many request/response pairs the server remembers for
-/// idempotent replay of retried requests.
-pub const DEDUP_CACHE_SIZE: usize = 1024;
-
 /// A bounded LRU of request id → framed reply — the idempotency cache
-/// behind both the [`RpcServer`] and the lab service's per-tenant
-/// sessions.
+/// behind the lab service's per-tenant sessions.
 ///
 /// Retried requests replay their cached reply instead of re-executing,
 /// and recently *replayed* ids count as recently used, so the entries a
@@ -207,55 +192,18 @@ pub trait Transport {
     /// still connected; [`RadError::RpcDisconnected`] when the peer is
     /// gone. Retry logic depends on telling these apart.
     fn recv(&self, timeout: Duration) -> Result<Bytes, RadError>;
-
-    /// Receives the next chunk, blocking until the peer sends or
-    /// disconnects. Returns `None` on disconnect.
-    fn recv_blocking(&self) -> Option<Bytes>;
 }
 
-/// A request frame: one command invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RpcRequest {
-    /// Client-assigned correlation id, doubling as the idempotency
-    /// token: retries reuse the id, and the server replays the cached
-    /// response for an id it has already executed.
-    pub id: u64,
-    /// The command to execute on the rig.
-    pub command: Command,
-}
-
-/// A borrowed [`RpcRequest`]: serializes byte-identically to the owned
-/// form without cloning the command — the wire path's per-issue
-/// `command.clone()` deleted.
-///
-/// Hand-implemented `Serialize` because the derive shim rejects
-/// lifetime parameters; the unit test
-/// `borrowed_request_serializes_identically` pins the equivalence.
-#[derive(Debug, Clone, Copy)]
-pub struct RpcRequestRef<'a> {
-    /// Client-assigned correlation / idempotency id.
-    pub id: u64,
-    /// The command to execute on the rig.
-    pub command: &'a Command,
-}
-
-impl Serialize for RpcRequestRef<'_> {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("id".to_owned(), self.id.to_content()),
-            ("command".to_owned(), self.command.to_content()),
-        ])
+/// A boxed transport is a transport, so one client type can carry a
+/// wire chosen at run time (an in-process pair or a socket).
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn send(&self, chunk: Bytes) -> Result<(), RadError> {
+        (**self).send(chunk)
     }
-}
 
-/// A response frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RpcResponse {
-    /// Echoed correlation id.
-    pub id: u64,
-    /// The return value, or the device fault rendered as a string (the
-    /// exception text RATracer logs).
-    pub result: Result<Value, String>,
+    fn recv(&self, timeout: Duration) -> Result<Bytes, RadError> {
+        (**self).recv(timeout)
+    }
 }
 
 /// Length-prefixed frame assembler: 4-byte big-endian length followed
@@ -274,7 +222,8 @@ pub struct RpcResponse {
 /// poison, which is sound whenever the transport delivers whole frames
 /// per chunk (as [`Duplex`] does): the next chunk starts at a frame
 /// boundary. On a real socket no such boundary exists, which is why
-/// the lab service quarantines the session instead of resetting.
+/// the lab service quarantines the session instead of resetting — on
+/// every transport, so an in-process session fails like a socket one.
 ///
 /// # Examples
 ///
@@ -470,12 +419,6 @@ impl Duplex {
             RecvTimeoutError::Disconnected => RadError::RpcDisconnected("peer disconnected".into()),
         })
     }
-
-    /// Receives the next chunk, blocking until the peer sends or
-    /// disconnects. Returns `None` on disconnect.
-    pub fn recv_blocking(&self) -> Option<Bytes> {
-        self.rx.recv().ok()
-    }
 }
 
 impl Transport for Duplex {
@@ -486,135 +429,10 @@ impl Transport for Duplex {
     fn recv(&self, timeout: Duration) -> Result<Bytes, RadError> {
         Duplex::recv(self, timeout)
     }
-
-    fn recv_blocking(&self) -> Option<Bytes> {
-        Duplex::recv_blocking(self)
-    }
 }
 
-/// The middlebox's RPC server loop.
-///
-/// Owns the [`LabRig`]; executes one request at a time in arrival
-/// order, exactly like the single gRPC service thread of the original
-/// deployment. An idempotency cache of the last [`DEDUP_CACHE_SIZE`]
-/// request ids replays cached responses for retried requests, so a
-/// retry can never double-execute a device command. Undecodable bytes
-/// (corrupt frames, garbage requests) are discarded and the codec
-/// resynchronized — the affected caller times out and retries, rather
-/// than one corrupt chunk killing the connection for everyone.
-#[derive(Debug)]
-pub struct RpcServer;
-
-impl RpcServer {
-    /// Spawns the server thread. The loop exits when the client side
-    /// disconnects. The returned handle yields the rig back so tests
-    /// can inspect final device state.
-    pub fn spawn<T>(rig: LabRig, transport: T) -> JoinHandle<LabRig>
-    where
-        T: Transport + Send + 'static,
-    {
-        RpcServer::spawn_with_stats(rig, transport, FaultStats::new())
-    }
-
-    /// Like [`RpcServer::spawn`], with a shared [`FaultStats`] handle
-    /// counting executions and idempotent replays — the observability
-    /// hook the conformance suite uses to prove no double execution.
-    pub fn spawn_with_stats<T>(rig: LabRig, transport: T, stats: FaultStats) -> JoinHandle<LabRig>
-    where
-        T: Transport + Send + 'static,
-    {
-        RpcServer::spawn_with_capacity(rig, transport, stats, DEDUP_CACHE_SIZE)
-    }
-
-    /// Like [`RpcServer::spawn_with_stats`], with a configurable
-    /// [`DedupCache`] capacity. Evictions count as
-    /// `dedup_evictions` on the stats handle.
-    ///
-    /// Each received chunk may carry several frames (a pipelined
-    /// client coalesces its window into one write); the loop decodes
-    /// them all — binary or JSON, per frame — and answers with one
-    /// coalesced reply chunk, so a depth-N window costs two syscalls
-    /// instead of 2N.
-    pub fn spawn_with_capacity<T>(
-        mut rig: LabRig,
-        transport: T,
-        stats: FaultStats,
-        dedup_capacity: usize,
-    ) -> JoinHandle<LabRig>
-    where
-        T: Transport + Send + 'static,
-    {
-        std::thread::spawn(move || {
-            let mut codec = FrameCodec::new();
-            let mut cache = DedupCache::new(dedup_capacity);
-            // Reused across requests: the steady-state encode path
-            // allocates nothing beyond the shared reply `Bytes`.
-            let mut scratch: Vec<u8> = Vec::new();
-            let mut batch: Vec<u8> = Vec::new();
-            while let Some(chunk) = transport.recv_blocking() {
-                codec.push(&chunk);
-                batch.clear();
-                loop {
-                    let frame = match codec.next_frame() {
-                        Ok(Some(f)) => f,
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Lost framing (corrupt length prefix).
-                            // Resync at the next chunk; the in-flight
-                            // request is lost and its caller retries.
-                            codec.reset();
-                            break;
-                        }
-                    };
-                    let Ok(request) = wire::decode_rpc_request(&frame) else {
-                        // Corrupt or garbage request: discard it (and
-                        // any desynced remainder). The caller times
-                        // out and retries with the same token.
-                        codec.reset();
-                        break;
-                    };
-                    if let Some(cached) = cache.get(request.id) {
-                        // Idempotent replay: the command already ran.
-                        stats.note_dedup_hit();
-                        batch.extend_from_slice(&cached);
-                        continue;
-                    }
-                    stats.note_execution();
-                    let result = rig
-                        .execute(&request.command)
-                        .map(|outcome| outcome.return_value)
-                        .map_err(|fault| fault.to_string());
-                    scratch.clear();
-                    let start = FrameCodec::begin_frame(&mut scratch);
-                    if wire::is_binary(&frame) {
-                        // Reply in the codec the request arrived in.
-                        wire::encode_rpc_response(&mut scratch, request.id, &result);
-                    } else {
-                        let response = RpcResponse {
-                            id: request.id,
-                            result,
-                        };
-                        let payload =
-                            serde_json::to_vec(&response).expect("responses always serialize");
-                        scratch.extend_from_slice(&payload);
-                    }
-                    FrameCodec::finish_frame(&mut scratch, start);
-                    let framed = Bytes::copy_from_slice(&scratch);
-                    batch.extend_from_slice(&framed);
-                    for _ in 0..cache.insert(request.id, framed) {
-                        stats.note_dedup_eviction();
-                    }
-                }
-                if !batch.is_empty() && transport.send(Bytes::copy_from_slice(&batch)).is_err() {
-                    return rig;
-                }
-            }
-            rig
-        })
-    }
-}
-
-/// Retry schedule for [`RpcClient::call_with_retry`].
+/// Retry schedule for one client request (the lab-service client,
+/// `rad_workloads::RemoteSession`, runs every request under one).
 ///
 /// Attempts are spaced by exponential backoff
 /// (`initial_backoff * backoff_factor^(attempt-1)`), optionally
@@ -661,20 +479,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A single attempt with `timeout` as both the attempt and overall
-    /// budget — the no-retry semantics of [`RpcClient::call`].
-    pub fn single(timeout: Duration) -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            initial_backoff: Duration::ZERO,
-            backoff_factor: 1,
-            attempt_timeout: timeout,
-            deadline: timeout,
-            jitter_seed: 0,
-            jitter_per_mille: 0,
-        }
-    }
-
     /// Adds seeded backoff jitter: each retry's wait is shortened by a
     /// deterministic fraction of up to `per_mille`/1000, drawn from a
     /// pure function of `(seed, attempt)`. Synchronized clients with
@@ -727,271 +531,6 @@ impl RetryPolicy {
         let nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
         let cut = (u128::from(nanos) * u128::from(cut_pm) / 1000) as u64;
         Duration::from_nanos(nanos - cut)
-    }
-}
-
-/// Blocking RPC client used by the (simulated) lab computer.
-///
-/// Generic over the [`Transport`] so the fault layer can interpose;
-/// defaults to the perfect-channel [`Duplex`].
-#[derive(Debug)]
-pub struct RpcClient<T: Transport = Duplex> {
-    transport: T,
-    codec: FrameCodec,
-    next_id: u64,
-    stats: FaultStats,
-    codec_kind: WireCodecKind,
-    scratch: Vec<u8>,
-}
-
-impl<T: Transport> RpcClient<T> {
-    /// Wraps a transport endpoint.
-    pub fn new(transport: T) -> Self {
-        RpcClient {
-            transport,
-            codec: FrameCodec::new(),
-            next_id: 0,
-            stats: FaultStats::new(),
-            codec_kind: WireCodecKind::default(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Attaches a shared [`FaultStats`] handle counting retries and
-    /// timeouts observed by this client.
-    #[must_use]
-    pub fn with_stats(mut self, stats: FaultStats) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// Selects the wire codec for requests (default JSON). The server
-    /// detects the codec per frame and replies in kind, so no
-    /// handshake is needed — see [`crate::wire`].
-    #[must_use]
-    pub fn with_codec(mut self, codec: WireCodecKind) -> Self {
-        self.codec_kind = codec;
-        self
-    }
-
-    /// The wire codec this client sends.
-    pub fn codec_kind(&self) -> WireCodecKind {
-        self.codec_kind
-    }
-
-    /// Sends `command` and blocks for its response — a single attempt,
-    /// no retries.
-    ///
-    /// # Errors
-    ///
-    /// - [`RadError::RpcTimeout`] if no response arrives in `timeout`.
-    /// - [`RadError::RpcDisconnected`] if the peer is gone.
-    /// - [`RadError::Device`]-shaped failures come back as
-    ///   [`RadError::Rpc`] with the fault text, since the fault crossed
-    ///   the wire as a string — mirroring how RATracer logs remote
-    ///   exceptions.
-    pub fn call(&mut self, command: &Command, timeout: Duration) -> Result<Value, RadError> {
-        self.call_with_retry(command, &RetryPolicy::single(timeout))
-    }
-
-    /// Sends `command` under `policy`: retryable failures re-attempt
-    /// with exponential backoff, reusing the same idempotency token so
-    /// the server can deduplicate.
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::call`], after the policy's attempts/deadline are
-    /// exhausted.
-    pub fn call_with_retry(
-        &mut self,
-        command: &Command,
-        policy: &RetryPolicy,
-    ) -> Result<Value, RadError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let overall_deadline = Instant::now() + policy.deadline;
-        let mut last_err = RadError::RpcTimeout("no response before deadline".into());
-        for attempt in 0..policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.stats.note_retry();
-                std::thread::sleep(policy.backoff_for(attempt));
-            }
-            let remaining = overall_deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            // Send failures are terminal (disconnect).
-            self.scratch.clear();
-            self.encode_request(id, command)?;
-            self.flush_scratch()?;
-            let wait = remaining.min(policy.attempt_timeout);
-            match self.await_result(id, wait) {
-                Ok(result) => return result.map_err(RadError::Rpc),
-                Err(e) if e.is_retryable() => {
-                    self.stats.note_timeout();
-                    last_err = e;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Issues a batch of commands with up to `depth` requests in
-    /// flight, coalescing each window into a single transport write.
-    ///
-    /// Every command gets its own idempotency id; replies arrive in
-    /// request order (the server executes sequentially), so results
-    /// line up with `commands` positionally. Per-command device faults
-    /// come back as the `Err(String)` arm of the inner result — they
-    /// do not abort the batch, mirroring what a lock-step caller would
-    /// observe one command at a time. On a retryable transport error
-    /// the whole in-flight window is re-sent in one chunk; the
-    /// server's [`DedupCache`] answers duplicates from memory, so no
-    /// command can double-execute.
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::call`] for transport-level failures, after the
-    /// policy's attempts are exhausted. The per-command deadline
-    /// budget renews whenever the head of the window completes.
-    pub fn call_pipelined(
-        &mut self,
-        commands: &[Command],
-        policy: &RetryPolicy,
-        depth: usize,
-    ) -> Result<Vec<Result<Value, String>>, RadError> {
-        let depth = depth.max(1);
-        let ids: Vec<u64> = commands
-            .iter()
-            .map(|_| {
-                let id = self.next_id;
-                self.next_id += 1;
-                id
-            })
-            .collect();
-        let mut results: Vec<Option<Result<Value, String>>> = vec![None; commands.len()];
-        let mut pending: VecDeque<usize> = VecDeque::new();
-        let mut next = 0usize;
-        let mut done = 0usize;
-        let mut attempt = 0u32;
-        let mut deadline = Instant::now() + policy.deadline;
-        while done < commands.len() {
-            // Top up the window, one coalesced write for all of it.
-            if pending.len() < depth && next < commands.len() {
-                self.scratch.clear();
-                while pending.len() < depth && next < commands.len() {
-                    self.encode_request(ids[next], &commands[next])?;
-                    pending.push_back(next);
-                    next += 1;
-                }
-                self.flush_scratch()?;
-            }
-            let head = *pending
-                .front()
-                .expect("incomplete batch has requests in flight");
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RadError::RpcTimeout("no response before deadline".into()));
-            }
-            match self.await_result(ids[head], remaining.min(policy.attempt_timeout)) {
-                Ok(result) => {
-                    results[head] = Some(result);
-                    pending.pop_front();
-                    done += 1;
-                    attempt = 0;
-                    deadline = Instant::now() + policy.deadline;
-                }
-                Err(e) if e.is_retryable() => {
-                    self.stats.note_timeout();
-                    attempt += 1;
-                    if attempt >= policy.max_attempts.max(1) {
-                        return Err(e);
-                    }
-                    self.stats.note_retry();
-                    std::thread::sleep(policy.backoff_for(attempt));
-                    // Re-send everything unacknowledged in one chunk;
-                    // duplicates replay from the server's dedup cache.
-                    self.scratch.clear();
-                    for &i in &pending {
-                        self.encode_request(ids[i], &commands[i])?;
-                    }
-                    self.flush_scratch()?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every command completed"))
-            .collect())
-    }
-
-    /// Appends one framed request to the scratch buffer in the
-    /// session's codec — no allocation on the binary path, no command
-    /// clone on either.
-    fn encode_request(&mut self, id: u64, command: &Command) -> Result<(), RadError> {
-        let start = FrameCodec::begin_frame(&mut self.scratch);
-        match self.codec_kind {
-            WireCodecKind::Binary => wire::encode_rpc_request(&mut self.scratch, id, command),
-            WireCodecKind::Json => {
-                let payload = serde_json::to_vec(&RpcRequestRef { id, command })
-                    .map_err(|e| RadError::Rpc(format!("encode failure: {e}")))?;
-                self.scratch.extend_from_slice(&payload);
-            }
-        }
-        FrameCodec::finish_frame(&mut self.scratch, start);
-        Ok(())
-    }
-
-    /// Sends the accumulated scratch frames as one chunk.
-    fn flush_scratch(&mut self) -> Result<(), RadError> {
-        let chunk = Bytes::copy_from_slice(&self.scratch);
-        self.scratch.clear();
-        self.transport.send(chunk)
-    }
-
-    /// Waits up to `timeout` for the response to `id`, skipping stale
-    /// or undecodable frames (a corrupt response is treated as lost —
-    /// the attempt times out and the retry machinery takes over).
-    /// The outer result is transport-level; the inner is the remote
-    /// command's own outcome.
-    fn await_result(
-        &mut self,
-        id: u64,
-        timeout: Duration,
-    ) -> Result<Result<Value, String>, RadError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.codec.next_frame() {
-                Ok(Some(frame)) => {
-                    let Ok(response) = wire::decode_rpc_response(&frame) else {
-                        // Corrupt response: discard buffered bytes and
-                        // resync at the next chunk boundary.
-                        self.codec.reset();
-                        continue;
-                    };
-                    if response.id != id {
-                        // A stale response from a timed-out earlier
-                        // attempt: skip it and keep waiting for ours.
-                        continue;
-                    }
-                    return Ok(response.result);
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    // Corrupt length prefix: framing lost, drop the
-                    // buffer and resync.
-                    self.codec.reset();
-                }
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(RadError::RpcTimeout("receive timed out".into()));
-            }
-            let chunk = self.transport.recv(remaining)?;
-            self.codec.push(&chunk);
-        }
     }
 }
 
@@ -1154,9 +693,6 @@ impl RetrySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rad_core::CommandType;
-
-    const T: Duration = Duration::from_secs(2);
 
     #[test]
     fn frame_codec_round_trips_chunked_input() {
@@ -1282,89 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn call_executes_on_the_remote_rig() {
-        let (client_side, server_side) = Duplex::pair();
-        let server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side);
-        client
-            .call(&Command::nullary(CommandType::InitC9), T)
-            .unwrap();
-        client
-            .call(&Command::nullary(CommandType::Home), T)
-            .unwrap();
-        drop(client);
-        let rig = server.join().unwrap();
-        assert!(
-            rig.c9().is_homed(),
-            "state changes happened on the server's rig"
-        );
-    }
-
-    #[test]
-    fn device_faults_cross_the_wire_as_exceptions() {
-        let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side);
-        // Motion before homing raises InvalidState on the device.
-        client
-            .call(&Command::nullary(CommandType::InitC9), T)
-            .unwrap();
-        let err = client
-            .call(
-                &Command::new(
-                    CommandType::Arm,
-                    vec![Value::Location {
-                        x: 10.0,
-                        y: 0.0,
-                        z: 200.0,
-                    }],
-                ),
-                T,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("not homed"), "{err}");
-    }
-
-    #[test]
-    fn sequential_calls_preserve_order() {
-        let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side);
-        client
-            .call(&Command::nullary(CommandType::InitTecan), T)
-            .unwrap();
-        client
-            .call(&Command::nullary(CommandType::TecanSetHomePosition), T)
-            .unwrap();
-        // The homing move keeps Q busy for a few polls, then idle.
-        let mut saw_idle = false;
-        for _ in 0..32 {
-            let v = client
-                .call(&Command::nullary(CommandType::TecanGetStatus), T)
-                .unwrap();
-            if v == Value::Str("idle".into()) {
-                saw_idle = true;
-                break;
-            }
-        }
-        assert!(saw_idle);
-    }
-
-    #[test]
-    fn client_times_out_when_server_is_gone() {
-        let (client_side, server_side) = Duplex::pair();
-        drop(server_side);
-        let mut client = RpcClient::new(client_side);
-        let err = client
-            .call(
-                &Command::nullary(CommandType::InitIka),
-                Duration::from_millis(50),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("disconnected") || err.to_string().contains("timed out"));
-    }
-
-    #[test]
     fn timeout_and_disconnect_are_distinguished() {
         // Peer alive but silent: timeout.
         let (alive, _peer) = Duplex::pair();
@@ -1377,76 +830,6 @@ mod tests {
         let err = dead.recv(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, RadError::RpcDisconnected(_)), "{err:?}");
         assert!(!err.is_retryable());
-    }
-
-    #[test]
-    fn server_returns_rig_on_disconnect() {
-        let (client_side, server_side) = Duplex::pair();
-        let server = RpcServer::spawn(LabRig::new(3), server_side);
-        drop(client_side);
-        // Joining must not hang.
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn malformed_request_is_discarded_not_fatal() {
-        let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn(LabRig::new(0), server_side);
-        client_side.send(FrameCodec::encode(b"not json")).unwrap();
-        // The server discards the garbage and keeps serving: a valid
-        // call on the same connection still succeeds.
-        let mut client = RpcClient::new(client_side);
-        client
-            .call(&Command::nullary(CommandType::InitIka), T)
-            .unwrap();
-    }
-
-    #[test]
-    fn retried_requests_execute_once() {
-        let stats = FaultStats::new();
-        let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn_with_stats(LabRig::new(0), server_side, stats.clone());
-        let mut client = RpcClient::new(client_side).with_stats(stats.clone());
-        client
-            .call(&Command::nullary(CommandType::InitC9), T)
-            .unwrap();
-        // Re-send the same request id by hand, as a retry would.
-        let request = RpcRequest {
-            id: 0,
-            command: Command::nullary(CommandType::InitC9),
-        };
-        let payload = serde_json::to_vec(&request).unwrap();
-        client.transport.send(FrameCodec::encode(&payload)).unwrap();
-        // The replayed response arrives without a second execution.
-        let replay = client.transport.recv(T).unwrap();
-        assert!(!replay.is_empty());
-        let snap = stats.snapshot();
-        assert_eq!(snap.executions, 1, "{snap}");
-        assert_eq!(snap.dedup_hits, 1, "{snap}");
-    }
-
-    #[test]
-    fn borrowed_request_serializes_identically() {
-        let command = Command::new(
-            CommandType::Arm,
-            vec![Value::Location {
-                x: 1.0,
-                y: 2.0,
-                z: 3.0,
-            }],
-        );
-        let owned = RpcRequest {
-            id: 99,
-            command: command.clone(),
-        };
-        let borrowed = RpcRequestRef {
-            id: 99,
-            command: &command,
-        };
-        assert_eq!(
-            serde_json::to_vec(&owned).unwrap(),
-            serde_json::to_vec(&borrowed).unwrap()
-        );
     }
 
     #[test]
@@ -1498,78 +881,5 @@ mod tests {
         reference.extend_from_slice(&FrameCodec::encode(b"hello"));
         reference.extend_from_slice(&FrameCodec::encode(b""));
         assert_eq!(pooled, reference);
-    }
-
-    #[test]
-    fn binary_codec_calls_execute_on_the_rig() {
-        let (client_side, server_side) = Duplex::pair();
-        let server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side).with_codec(WireCodecKind::Binary);
-        client
-            .call(&Command::nullary(CommandType::InitC9), T)
-            .unwrap();
-        client
-            .call(&Command::nullary(CommandType::Home), T)
-            .unwrap();
-        drop(client);
-        let rig = server.join().unwrap();
-        assert!(rig.c9().is_homed());
-    }
-
-    #[test]
-    fn pipelined_batch_matches_lock_step_results() {
-        let run = |pipelined: bool| -> Vec<Result<Value, String>> {
-            let (client_side, server_side) = Duplex::pair();
-            let _server = RpcServer::spawn(LabRig::new(0), server_side);
-            let mut client = RpcClient::new(client_side).with_codec(WireCodecKind::Binary);
-            let commands = vec![
-                Command::nullary(CommandType::InitC9),
-                Command::nullary(CommandType::Home),
-                // Motion before homing would fault; after Home it works.
-                Command::nullary(CommandType::Mvng),
-                Command::nullary(CommandType::Temp),
-            ];
-            if pipelined {
-                client
-                    .call_pipelined(&commands, &RetryPolicy::default(), 3)
-                    .unwrap()
-            } else {
-                commands
-                    .iter()
-                    .map(|c| match client.call(c, T) {
-                        Ok(v) => Ok(v),
-                        Err(RadError::Rpc(m)) => Err(m),
-                        Err(other) => panic!("transport failure: {other}"),
-                    })
-                    .collect()
-            }
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn pipelined_device_faults_do_not_abort_the_batch() {
-        let (client_side, server_side) = Duplex::pair();
-        let _server = RpcServer::spawn(LabRig::new(0), server_side);
-        let mut client = RpcClient::new(client_side);
-        let commands = vec![
-            Command::nullary(CommandType::InitC9),
-            // Not homed yet: the device rejects the motion.
-            Command::new(
-                CommandType::Arm,
-                vec![Value::Location {
-                    x: 10.0,
-                    y: 0.0,
-                    z: 200.0,
-                }],
-            ),
-            Command::nullary(CommandType::Home),
-        ];
-        let results = client
-            .call_pipelined(&commands, &RetryPolicy::default(), 8)
-            .unwrap();
-        assert!(results[0].is_ok());
-        assert!(results[1].as_ref().unwrap_err().contains("not homed"));
-        assert!(results[2].is_ok());
     }
 }

@@ -1,13 +1,17 @@
-//! The lab service: a real multi-tenant middlebox server over TCP and
-//! Unix-domain sockets.
+//! The lab service: the multi-tenant middlebox server, over TCP,
+//! Unix-domain sockets, or any in-process [`Transport`].
 //!
-//! Everything before this module speaks [`Transport`] over in-process
-//! [`Duplex`](crate::rpc::Duplex) pairs. Here the same length-prefixed
-//! [`FrameCodec`] framing crosses real sockets: [`SocketTransport`]
-//! implements [`Transport`] over a `TcpStream` or `UnixStream`, and
-//! [`LabService`] runs a bounded worker-pool accept loop that
-//! multiplexes many concurrent client sessions onto per-tenant device
-//! fleets.
+//! The same length-prefixed [`FrameCodec`] framing crosses every
+//! transport: [`SocketTransport`] implements [`Transport`] over a
+//! `TcpStream` or `UnixStream`, and [`LabService`] runs a bounded
+//! worker pool that multiplexes many concurrent client sessions onto
+//! per-tenant device fleets. Sessions reach the pool two ways — a
+//! listener ([`LabService::serve_tcp`], [`LabService::serve_unix`]) or
+//! [`ServerHandle::attach`], which admits any transport: an in-process
+//! [`Duplex`](crate::rpc::Duplex), a
+//! [`FaultyDuplex`](crate::faults::FaultyDuplex), a socket the caller
+//! accepted itself. Both pass the same admission control into the same
+//! session loop.
 //!
 //! Robustness is the point, not a bolt-on:
 //!
@@ -15,6 +19,8 @@
 //!   rejects new connections with a typed
 //!   [`RadError::Overloaded`]-mapping reply instead of queueing them
 //!   invisibly; a tenant with an active session rejects a second one.
+//!   A repeated `Hello` for the session's own tenant replays `Welcome`;
+//!   a `Hello` for another tenant quarantines the session.
 //! - **Backpressure** — each tenant's sink stack runs on its own
 //!   consumer thread behind a *bounded* channel. A slow sink blocks
 //!   only its own tenant's session (the producer waits at the channel,
@@ -29,12 +35,11 @@
 //!   idle timeout is closed and its worker slot reclaimed.
 //! - **Quarantine** — a client whose byte stream loses framing
 //!   (a length prefix past the cap — [`RadError::FrameTooLarge`]) is
-//!   quarantined: on a real socket there is no trustworthy resync
-//!   point, so the session closes rather than guess. Well-framed but
-//!   undecodable payloads are skipped deterministically (the frame
-//!   boundary is still sound), and the affected request is recovered
-//!   by the client's retry + server dedup, exactly like the in-process
-//!   path.
+//!   quarantined: a byte stream has no trustworthy resync point, so
+//!   the session closes rather than guess, whatever the transport.
+//!   Well-framed but undecodable payloads are skipped deterministically
+//!   (the frame boundary is still sound), and the affected request is
+//!   recovered by the client's retry + server dedup.
 //! - **Graceful drain** — [`ServerHandle::drain`] stops accepting,
 //!   lets in-flight sessions finish, flushes every tenant's sink stack
 //!   (durable stores synced and checkpointed), and reports per-tenant
@@ -70,10 +75,13 @@ use crate::wire;
 /// flag. Bounds both reap latency and drain latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Default bound on the per-tenant idempotent-replay cache — same role
-/// as [`crate::rpc::DEDUP_CACHE_SIZE`], scoped per session. Tune via
-/// [`ServerConfig::dedup_capacity`].
+/// Default bound on the per-tenant idempotent-replay cache, scoped per
+/// session. Tune via [`ServerConfig::dedup_capacity`].
 const SESSION_DEDUP_SIZE: usize = 1024;
+
+/// A connection waiting for a worker: any transport, socket or
+/// in-process.
+type Conn = Box<dyn Transport + Send>;
 
 // ---------------------------------------------------------------------------
 // Socket transports
@@ -101,13 +109,6 @@ impl SocketStream {
         }
     }
 
-    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            SocketStream::Tcp(s) => s.set_write_timeout(t),
-            SocketStream::Unix(s) => s.set_write_timeout(t),
-        }
-    }
-
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             SocketStream::Tcp(s) => s.read(buf),
@@ -127,7 +128,7 @@ impl SocketStream {
 ///
 /// The same blocking send/recv surface the in-process
 /// [`Duplex`](crate::rpc::Duplex) offers, so every layer above — the
-/// RPC client, the fault wrapper [`Faulty`](crate::faults::Faulty),
+/// session client, the fault wrapper [`Faulty`](crate::faults::Faulty),
 /// the campaign driver — runs unchanged over a real wire. Reads and
 /// writes go through independent halves (`try_clone`), so one thread
 /// can block in `recv` while another sends.
@@ -222,18 +223,6 @@ impl Transport for SocketTransport {
             Err(e) => Err(RadError::RpcDisconnected(format!(
                 "socket read failed: {e}"
             ))),
-        }
-    }
-
-    fn recv_blocking(&self) -> Option<Bytes> {
-        let mut reader = self.reader.lock();
-        if reader.set_read_timeout(None).is_err() {
-            return None;
-        }
-        let mut buf = [0u8; 64 * 1024];
-        match reader.read(&mut buf) {
-            Ok(0) | Err(_) => None,
-            Ok(n) => Some(Bytes::copy_from_slice(&buf[..n])),
         }
     }
 }
@@ -862,18 +851,54 @@ impl LabService {
         local_addr: Option<SocketAddr>,
         unix_path: Option<PathBuf>,
     ) -> Result<ServerHandle, RadError> {
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| RadError::Rpc(format!("set_nonblocking: {e}")))?;
+        let mut handle = self.start();
+        let conn_tx = handle
+            .conn_tx
+            .clone()
+            .expect("a fresh handle owns its admission queue");
+        let accept_shutdown = Arc::clone(&handle.shutdown);
+        let accept_stats = handle.stats.clone();
+        handle.accept = Some(std::thread::spawn(move || {
+            while !accept_shutdown.load(Ordering::Relaxed) {
+                let Ok(stream) = listener.accept() else {
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                };
+                let Ok(transport) = SocketTransport::from_stream(stream) else {
+                    continue;
+                };
+                if let Err(RadError::RpcDisconnected(_)) =
+                    admit(&conn_tx, &accept_stats, Box::new(transport))
+                {
+                    break;
+                }
+            }
+            // conn_tx drops here: once the handle's sender is gone too,
+            // workers drain the queue and exit.
+        }));
+        handle.local_addr = local_addr;
+        handle.unix_path = unix_path;
+        Ok(handle)
+    }
+
+    /// Starts the worker pool without a listener: sessions arrive only
+    /// through [`ServerHandle::attach`] — in-process transports, or
+    /// sockets the caller accepted itself. The listener entries
+    /// ([`LabService::serve_tcp`], [`LabService::serve_unix`]) feed
+    /// the same pool.
+    pub fn start(self) -> ServerHandle {
         let LabService {
             config,
             sink_factory,
         } = self;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RadError::Rpc(format!("set_nonblocking: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = ServerStats::new();
         let tenants: Arc<Mutex<HashMap<String, Arc<Tenant>>>> =
             Arc::new(Mutex::new(HashMap::new()));
-        let (conn_tx, conn_rx) = sync_channel::<SocketStream>(config.backlog.max(1));
+        let (conn_tx, conn_rx) = sync_channel::<Conn>(config.backlog.max(1));
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let session_ids = Arc::new(AtomicU64::new(1));
 
@@ -908,54 +933,43 @@ impl LabService {
             }));
         }
 
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_stats = stats.clone();
-        let accept = std::thread::spawn(move || {
-            while !accept_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok(stream) => match conn_tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(stream)) => {
-                            // Admission control: typed reject, not an
-                            // invisible queue.
-                            accept_stats.note_rejected();
-                            reject_raw(stream, "worker pool and backlog are full");
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                }
-            }
-            // conn_tx drops here: workers drain the queue and exit.
-        });
-
-        Ok(ServerHandle {
+        ServerHandle {
             shutdown,
-            accept: Some(accept),
+            conn_tx: Some(conn_tx),
+            accept: None,
             workers,
             tenants,
             stats,
             config,
-            local_addr,
-            unix_path,
-        })
+            local_addr: None,
+            unix_path: None,
+        }
     }
 }
 
-/// Best-effort pre-session reject: write one `Rejected` frame and drop
-/// the connection.
-fn reject_raw(mut stream: SocketStream, reason: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let frame = encode_reply(
-        0,
-        WireReply::Rejected {
-            reason: reason.to_string(),
-        },
-    );
-    let _ = stream.write_all(&frame);
+/// The admission edge every session passes, listener-accepted or
+/// attached: a bounded queue in front of the worker pool. A full queue
+/// is a typed reject, not an invisible wait — the peer gets one
+/// best-effort `Rejected` frame (id 0, before any request) and the
+/// connection is dropped.
+fn admit(conn_tx: &SyncSender<Conn>, stats: &ServerStats, conn: Conn) -> Result<(), RadError> {
+    match conn_tx.try_send(conn) {
+        Ok(()) => Ok(()),
+        Err(TrySendError::Full(conn)) => {
+            stats.note_rejected();
+            let reason = "worker pool and backlog are full";
+            let _ = conn.send(encode_reply(
+                0,
+                WireReply::Rejected {
+                    reason: reason.to_string(),
+                },
+            ));
+            Err(RadError::Overloaded(reason.to_string()))
+        }
+        Err(TrySendError::Disconnected(_)) => Err(RadError::RpcDisconnected(
+            "lab service is shutting down".into(),
+        )),
+    }
 }
 
 enum Listener {
@@ -1002,37 +1016,45 @@ enum SessionEnd {
     Draining,
 }
 
+/// The tenant a session is bound to, and the session number its
+/// `Welcome` announced.
+struct Bound {
+    tenant: Arc<Tenant>,
+    session: u64,
+}
+
 impl SessionContext {
-    fn run_session(&self, stream: SocketStream) {
-        let transport = match SocketTransport::from_stream(stream) {
-            Ok(t) => t,
-            Err(_) => return,
-        };
+    fn run_session(&self, transport: Conn) {
         let mut codec = FrameCodec::with_max_frame(self.config.max_client_frame);
-        let mut tenant: Option<Arc<Tenant>> = None;
-        let end = self.session_loop(&transport, &mut codec, &mut tenant);
-        match end {
-            SessionEnd::Reaped => self.stats.note_reaped(),
-            SessionEnd::Quarantined => self.stats.note_quarantined(),
-            SessionEnd::Disconnected | SessionEnd::Bye | SessionEnd::Draining => {}
-        }
+        let mut bound: Option<Bound> = None;
+        let end = self.session_loop(&*transport, &mut codec, &mut bound);
         // Whatever ended the session, the tenant's buffered work is
         // flushed into its sink channel and the tenant freed for the
         // next session — a mid-campaign kill loses nothing.
-        if let Some(tenant) = tenant {
+        if let Some(Bound { tenant, .. }) = bound {
             {
                 let mut state = tenant.state.lock();
                 let _ = tenant.flush_state(&mut state, self.config.batch_rows, true);
             }
             tenant.busy.store(false, Ordering::Release);
         }
+        // Counted after the release, so an observer that sees the count
+        // can already rebind the tenant.
+        match end {
+            SessionEnd::Reaped => self.stats.note_reaped(),
+            SessionEnd::Quarantined => self.stats.note_quarantined(),
+            SessionEnd::Disconnected | SessionEnd::Bye | SessionEnd::Draining => {}
+        }
     }
 
+    /// The one session loop: every session, socket or in-process, runs
+    /// here until it disconnects, says `Bye`, idles out, is
+    /// quarantined, or the server drains.
     fn session_loop(
         &self,
-        transport: &SocketTransport,
+        transport: &dyn Transport,
         codec: &mut FrameCodec,
-        tenant: &mut Option<Arc<Tenant>>,
+        bound: &mut Option<Bound>,
     ) -> SessionEnd {
         let mut last_activity = Instant::now();
         // Replies to every frame of one received chunk coalesce into a
@@ -1053,7 +1075,7 @@ impl SessionContext {
                         match codec.next_frame() {
                             Ok(Some(frame)) => {
                                 let received = Instant::now();
-                                match self.handle_frame(&frame, received, &mut batch, tenant) {
+                                match self.handle_frame(&frame, received, &mut batch, bound) {
                                     FrameOutcome::Continue => {}
                                     FrameOutcome::Close(end) => {
                                         close = Some(end);
@@ -1102,7 +1124,7 @@ impl SessionContext {
         frame: &Bytes,
         received: Instant,
         batch: &mut Vec<u8>,
-        tenant: &mut Option<Arc<Tenant>>,
+        bound: &mut Option<Bound>,
     ) -> FrameOutcome {
         // The first payload byte names the codec, so binary and JSON
         // clients coexist per frame; every reply echoes the codec its
@@ -1117,40 +1139,42 @@ impl SessionContext {
             return FrameOutcome::Continue;
         };
         let id = request.id;
+        if let Some(bound) = bound.as_ref() {
+            return self.handle_bound(id, request.body, received, binary, batch, bound);
+        }
         match request.body {
             WireRequest::Hello { tenant: name } => {
-                self.handle_hello(id, &name, binary, batch, tenant)
+                self.handle_hello(id, &name, binary, batch, bound)
             }
-            body => {
-                let Some(tenant) = tenant.as_ref() else {
-                    append_reply(
-                        batch,
-                        id,
-                        &WireReply::Failed {
-                            message: "request before Hello".into(),
-                        },
-                        binary,
-                    );
-                    return FrameOutcome::Close(SessionEnd::Quarantined);
-                };
-                self.handle_bound(id, body, received, binary, batch, tenant)
+            _ => {
+                append_reply(
+                    batch,
+                    id,
+                    &WireReply::Failed {
+                        message: "request before Hello".into(),
+                    },
+                    binary,
+                );
+                FrameOutcome::Close(SessionEnd::Quarantined)
             }
         }
     }
 
+    /// Binds an unbound session to `name` (a bound session's `Hello`
+    /// goes to [`SessionContext::handle_bound`]).
     fn handle_hello(
         &self,
         id: u64,
         name: &str,
         binary: bool,
         batch: &mut Vec<u8>,
-        tenant: &mut Option<Arc<Tenant>>,
+        bound: &mut Option<Bound>,
     ) -> FrameOutcome {
         let existing = {
             let tenants = self.tenants.lock();
             tenants.get(name).cloned()
         };
-        let bound = match existing {
+        let tenant = match existing {
             Some(t) => t,
             None => {
                 let opened = Tenant::open(name, &self.config, &self.sink_factory);
@@ -1174,7 +1198,7 @@ impl SessionContext {
                 }
             }
         };
-        if bound
+        if tenant
             .busy
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
@@ -1193,13 +1217,13 @@ impl SessionContext {
         let session = self.session_ids.fetch_add(1, Ordering::Relaxed);
         self.stats.note_admitted();
         let issues_done = {
-            let mut state = bound.state.lock();
+            let mut state = tenant.state.lock();
             // Ids are per-session; a stale cache would replay the
             // previous session's replies for fresh requests.
             state.dedup.clear();
             state.issues_done
         };
-        *tenant = Some(bound);
+        *bound = Some(Bound { tenant, session });
         append_reply(
             batch,
             id,
@@ -1219,8 +1243,9 @@ impl SessionContext {
         received: Instant,
         binary: bool,
         batch: &mut Vec<u8>,
-        tenant: &Arc<Tenant>,
+        bound: &Bound,
     ) -> FrameOutcome {
+        let tenant = &bound.tenant;
         let mut state = tenant.state.lock();
         if let Some(cached) = state.dedup.get(id) {
             self.stats.note_dedup_hit();
@@ -1322,7 +1347,25 @@ impl SessionContext {
                     FrameOutcome::Close(SessionEnd::Bye),
                 )
             }
-            WireRequest::Hello { .. } => unreachable!("Hello handled by caller"),
+            // A retried Hello (its Welcome was lost) must not lock the
+            // client out of its own session: replay the Welcome.
+            WireRequest::Hello { tenant: name } if name == tenant.name => (
+                WireReply::Welcome {
+                    session: bound.session,
+                    issues_done: state.issues_done,
+                },
+                FrameOutcome::Continue,
+            ),
+            // Rebinding would strand the bound tenant busy forever.
+            WireRequest::Hello { tenant: name } => (
+                WireReply::Failed {
+                    message: format!(
+                        "session is bound to tenant `{}`; Hello for `{name}` refused",
+                        tenant.name
+                    ),
+                },
+                FrameOutcome::Close(SessionEnd::Quarantined),
+            ),
         };
         // Expired replies are not cached: the retry re-evaluates with
         // a fresh budget instead of being stuck with the stale verdict.
@@ -1353,6 +1396,9 @@ enum FrameOutcome {
 /// [`ServerHandle::drain`] for the graceful, zero-loss path.
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// The admission queue's sender; dropped on drain so idle workers
+    /// wake and exit at once.
+    conn_tx: Option<SyncSender<Conn>>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     tenants: Arc<Mutex<HashMap<String, Arc<Tenant>>>>,
@@ -1378,6 +1424,26 @@ impl ServerHandle {
         &self.config
     }
 
+    /// Admits one session over `transport` — an in-process
+    /// [`Duplex`](crate::rpc::Duplex) end, a
+    /// [`FaultyDuplex`](crate::faults::FaultyDuplex), a socket accepted
+    /// by hand — into the worker pool the listener feeds. It passes the
+    /// same admission control and runs the same session loop as a
+    /// listener-accepted connection; the peer end speaks the protocol.
+    ///
+    /// # Errors
+    ///
+    /// [`RadError::Overloaded`] when the worker pool and backlog are
+    /// full: the peer receives the same typed `Rejected` frame a
+    /// refused socket gets, and the transport is dropped.
+    pub fn attach<T: Transport + Send + 'static>(&self, transport: T) -> Result<(), RadError> {
+        let conn_tx = self
+            .conn_tx
+            .as_ref()
+            .expect("only drain releases the admission queue");
+        admit(conn_tx, &self.stats, Box::new(transport))
+    }
+
     /// Graceful drain: stop accepting, let in-flight sessions finish,
     /// flush every tenant's sink stack (durable stores synced and
     /// checkpointed), and report per-tenant accounting. No buffered
@@ -1393,6 +1459,7 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
+        self.conn_tx = None;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1515,33 +1582,45 @@ mod tests {
     /// Minimal hand-rolled client for the unit tests (the full driver
     /// lives in rad-workloads).
     struct TestClient {
-        transport: SocketTransport,
+        transport: Box<dyn Transport>,
         codec: FrameCodec,
         next_id: u64,
     }
 
     impl TestClient {
-        fn connect_tcp(addr: SocketAddr) -> Self {
+        fn over(transport: impl Transport + 'static) -> Self {
             TestClient {
-                transport: SocketTransport::connect_tcp(&addr.to_string()).unwrap(),
+                transport: Box::new(transport),
                 codec: FrameCodec::new(),
                 next_id: 0,
             }
         }
 
+        fn connect_tcp(addr: SocketAddr) -> Self {
+            TestClient::over(SocketTransport::connect_tcp(&addr.to_string()).unwrap())
+        }
+
         fn connect_unix(path: &Path) -> Self {
-            TestClient {
-                transport: SocketTransport::connect_unix(path).unwrap(),
-                codec: FrameCodec::new(),
-                next_id: 0,
-            }
+            TestClient::over(SocketTransport::connect_unix(path).unwrap())
+        }
+
+        /// An in-process session: one end of a duplex pair attached to
+        /// the server, the other driven by this client.
+        fn attach(server: &ServerHandle) -> Result<Self, RadError> {
+            let (client_side, server_side) = crate::rpc::Duplex::pair();
+            server.attach(server_side)?;
+            Ok(TestClient::over(client_side))
+        }
+
+        fn send(&self, id: u64, body: WireRequest) {
+            let payload = serde_json::to_vec(&WireFrame { id, body }).unwrap();
+            self.transport.send(FrameCodec::encode(&payload)).unwrap();
         }
 
         fn request(&mut self, body: WireRequest) -> WireReply {
             let id = self.next_id;
             self.next_id += 1;
-            let payload = serde_json::to_vec(&WireFrame { id, body }).unwrap();
-            self.transport.send(FrameCodec::encode(&payload)).unwrap();
+            self.send(id, body);
             self.await_reply(id)
         }
 
@@ -1823,6 +1902,14 @@ mod tests {
         server.drain().unwrap();
     }
 
+    fn await_quarantines(server: &ServerHandle, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().quarantined() < n {
+            assert!(Instant::now() < deadline, "session was never quarantined");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     #[test]
     fn oversized_client_frame_quarantines_the_session() {
         let config = ServerConfig {
@@ -1831,22 +1918,126 @@ mod tests {
         };
         let server = LabService::new(config).serve_tcp("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
-        let mut client = TestClient::connect_tcp(addr);
-        client.hello("alice");
-        // A length prefix past the server's cap: framing is lost.
-        client
-            .transport
-            .send(Bytes::copy_from_slice(&(64 * 1024u32).to_be_bytes()))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().quarantined() == 0 {
-            assert!(Instant::now() < deadline, "session was never quarantined");
-            std::thread::sleep(Duration::from_millis(10));
+        let tcp = || TestClient::connect_tcp(addr);
+        let in_process = || TestClient::attach(&server).unwrap();
+        let connectors: [&dyn Fn() -> TestClient; 2] = [&tcp, &in_process];
+        for (quarantines, connect) in (1..).zip(connectors) {
+            let tenant = format!("tenant-{quarantines}");
+            let mut client = connect();
+            assert!(matches!(client.hello(&tenant), WireReply::Welcome { .. }));
+            // A length prefix past the server's cap: framing is lost,
+            // and an in-process session has no more of a resync point
+            // than a socket does.
+            client
+                .transport
+                .send(Bytes::copy_from_slice(&(64 * 1024u32).to_be_bytes()))
+                .unwrap();
+            await_quarantines(&server, quarantines);
+            // The tenant survives quarantine; a fresh session resumes it.
+            let mut next = connect();
+            assert!(matches!(next.hello(&tenant), WireReply::Welcome { .. }));
         }
-        // The tenant survives quarantine; a fresh session resumes it.
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn attached_sessions_share_the_pool_and_its_admission_control() {
+        let config = ServerConfig {
+            max_sessions: 1,
+            backlog: 1,
+            ..test_config()
+        };
+        let sink = CollectingSink::new();
+        let server = LabService::new(config)
+            .with_sink_factory(collecting_factory(sink.clone()))
+            .start();
+        assert_eq!(server.local_addr(), None, "no listener");
+        let mut active = TestClient::attach(&server).unwrap();
+        assert!(matches!(active.hello("a"), WireReply::Welcome { .. }));
+        assert!(matches!(
+            active.issue(CommandType::InitC9),
+            WireReply::Done { fault: None, .. }
+        ));
+        // Occupy the only backlog slot, then overflow it: the reject is
+        // typed for the caller and on the wire, as at the accept edge.
+        let _queued = TestClient::attach(&server).unwrap();
+        let (client_side, server_side) = crate::rpc::Duplex::pair();
+        let err = server.attach(server_side).unwrap_err();
+        assert!(matches!(err, RadError::Overloaded(_)), "{err:?}");
+        match TestClient::over(client_side).await_reply(0) {
+            WireReply::Rejected { reason } => assert!(reason.contains("full"), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+        assert_eq!(server.stats().rejected(), 1);
+        assert!(matches!(
+            active.request(WireRequest::Bye),
+            WireReply::Goodbye { issues_done: 1 }
+        ));
+        let report = server.drain().unwrap();
+        assert_eq!(report.tenants[0].rows_flushed, 1);
+        assert_eq!(sink.len(), 1, "in-process traces reach the sink stack");
+    }
+
+    #[test]
+    fn repeated_hello_replays_welcome_instead_of_locking_out() {
+        let server = LabService::new(test_config())
+            .serve_tcp("127.0.0.1:0")
+            .unwrap();
+        let mut client = TestClient::connect_tcp(server.local_addr().unwrap());
+        let WireReply::Welcome { session, .. } = client.hello("alice") else {
+            panic!("first Hello must be welcomed");
+        };
+        client.issue(CommandType::InitC9);
+        // The client never saw its Welcome and retries the Hello under
+        // the same id.
+        client.send(
+            0,
+            WireRequest::Hello {
+                tenant: "alice".into(),
+            },
+        );
+        match client.await_reply(0) {
+            WireReply::Welcome {
+                session: replayed,
+                issues_done,
+            } => {
+                assert_eq!(replayed, session, "same session, not a new one");
+                assert_eq!(issues_done, 1);
+            }
+            other => panic!("expected a replayed Welcome, got {other:?}"),
+        }
+        // The session survives the retry.
+        assert!(matches!(
+            client.issue(CommandType::Home),
+            WireReply::Done { fault: None, .. }
+        ));
+        assert_eq!(server.stats().rejected(), 0);
+        drop(client);
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn hello_for_another_tenant_quarantines_without_stranding_the_first() {
+        let server = LabService::new(test_config())
+            .serve_tcp("127.0.0.1:0")
+            .unwrap();
+        let addr = server.local_addr().unwrap();
+        let mut client = TestClient::connect_tcp(addr);
+        assert!(matches!(client.hello("a"), WireReply::Welcome { .. }));
+        match client.hello("b") {
+            WireReply::Failed { message } => {
+                assert!(message.contains("bound to tenant `a`"), "{message}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        await_quarantines(&server, 1);
+        // `a` is free for its next session instead of locked out until
+        // drain, and `b` was never bound.
         let mut next = TestClient::connect_tcp(addr);
-        assert!(matches!(next.hello("alice"), WireReply::Welcome { .. }));
-        drop((client, next));
+        assert!(matches!(next.hello("a"), WireReply::Welcome { .. }));
+        let mut other = TestClient::connect_tcp(addr);
+        assert!(matches!(other.hello("b"), WireReply::Welcome { .. }));
+        drop((client, next, other));
         server.drain().unwrap();
     }
 
@@ -1882,15 +2073,13 @@ mod tests {
         client.hello("alice");
         client.issue(CommandType::InitC9);
         // Replay the Issue frame by hand, as a retry would.
-        let payload = serde_json::to_vec(&WireFrame {
-            id: 1,
-            body: WireRequest::Issue {
+        client.send(
+            1,
+            WireRequest::Issue {
                 deadline_ms: 0,
                 command: Command::nullary(CommandType::InitC9),
             },
-        })
-        .unwrap();
-        client.transport.send(FrameCodec::encode(&payload)).unwrap();
+        );
         let replay = client.await_reply(1);
         assert!(matches!(replay, WireReply::Done { .. }));
         assert_eq!(server.stats().dedup_hits(), 1);

@@ -2,12 +2,12 @@
 //!
 //! PR 8's socket service speaks JSON for every frame, which costs a
 //! `serde_json` encode/decode plus an allocation per command. This
-//! module adds a compact binary form for the four framed message types
-//! ([`RpcRequest`]/[`RpcResponse`] and the server's
-//! [`WireFrame`]/[`ReplyFrame`]), reusing the segment store's proven
+//! module adds a compact binary form for the two framed message types
+//! (the lab service's [`WireFrame`] requests and [`ReplyFrame`]
+//! replies), reusing the segment store's proven
 //! primitive codecs: LEB128 varints for ids and counts, the dense
 //! [`CommandType::token_id`] dictionary for command mnemonics, the
-//! tagged binary [`Value`] codec for arguments, and a CRC32 trailer so
+//! tagged binary [`Value`](rad_core::Value) codec for arguments, and a CRC32 trailer so
 //! corruption is caught at the frame boundary.
 //!
 //! # Self-describing frames
@@ -28,7 +28,7 @@
 //! [0xB1][msg tag][body…][crc32 LE]
 //!   │      │       │        └ CRC32 over everything before the trailer
 //!   │      │       └ message-specific body (varints / tagged values)
-//!   │      └ 1=RpcRequest 2=RpcResponse 3=WireFrame 4=ReplyFrame
+//!   │      └ 3=WireFrame 4=ReplyFrame (1 and 2 are retired, never reused)
 //!   └ version tag (distinguishes binary from JSON's `{`)
 //! ```
 //!
@@ -41,23 +41,23 @@
 //!
 //! ```
 //! use rad_core::{Command, CommandType, Value};
-//! use rad_middlebox::rpc::RpcRequest;
+//! use rad_middlebox::server::{WireFrame, WireRequest};
 //! use rad_middlebox::wire;
 //!
 //! let command = Command::new(CommandType::Move, vec![Value::Float(0.5)]);
 //! let mut buf = Vec::new();
-//! wire::encode_rpc_request(&mut buf, 7, &command);
+//! wire::encode_issue_frame(&mut buf, 7, 250, &command);
 //! assert!(wire::is_binary(&buf));
-//! let back = wire::decode_rpc_request(&buf)?;
-//! assert_eq!(back, RpcRequest { id: 7, command });
+//! let back = wire::decode_wire_frame(&buf)?;
+//! let body = WireRequest::Issue { deadline_ms: 250, command };
+//! assert_eq!(back, WireFrame { id: 7, body });
 //! # Ok::<(), String>(())
 //! ```
 
-use rad_core::{AnomalyCause, Command, CommandType, Label, ProcedureKind, Value};
+use rad_core::{AnomalyCause, Command, CommandType, Label, ProcedureKind};
 use rad_store::segment::codec::{read_value, write_str, write_value, write_varint, ByteReader};
 use rad_store::wal::crc32;
 
-use crate::rpc::{RpcRequest, RpcResponse};
 use crate::server::{ReplyFrame, WireFrame, WireReply, WireRequest};
 
 /// Version tag opening every binary frame payload. JSON payloads open
@@ -94,10 +94,10 @@ impl WireCodecKind {
     }
 }
 
-/// Message tags (second payload byte).
+/// Message tags (second payload byte). Tags 1 and 2 belonged to a
+/// retired protocol; they stay unassigned so an old frame can never
+/// decode as a new message.
 mod msg {
-    pub const RPC_REQUEST: u8 = 1;
-    pub const RPC_RESPONSE: u8 = 2;
     pub const WIRE_FRAME: u8 = 3;
     pub const REPLY_FRAME: u8 = 4;
 }
@@ -186,33 +186,6 @@ fn procedure_from_byte(b: u8) -> Result<ProcedureKind, String> {
         6 => ProcedureKind::Unknown,
         other => return Err(format!("unknown procedure byte {other}")),
     })
-}
-
-/// Appends one binary [`RpcRequest`] payload. Borrows the command —
-/// this is the allocation-free replacement for cloning it into an
-/// owned request just to serialize.
-pub fn encode_rpc_request(out: &mut Vec<u8>, id: u64, command: &Command) {
-    let start = begin(out, msg::RPC_REQUEST);
-    write_varint(out, id);
-    write_command(out, command);
-    finish(out, start);
-}
-
-/// Appends one binary [`RpcResponse`] payload.
-pub fn encode_rpc_response(out: &mut Vec<u8>, id: u64, result: &Result<Value, String>) {
-    let start = begin(out, msg::RPC_RESPONSE);
-    write_varint(out, id);
-    match result {
-        Ok(value) => {
-            out.push(0);
-            write_value(out, value);
-        }
-        Err(message) => {
-            out.push(1);
-            write_str(out, message);
-        }
-    }
-    finish(out, start);
 }
 
 /// Appends one binary [`WireFrame`] payload.
@@ -337,51 +310,13 @@ fn open(frame: &[u8], expect_tag: u8) -> Result<&[u8], String> {
     Ok(&body[2..])
 }
 
-/// Decodes an [`RpcRequest`] from either codec: binary when the frame
+/// Decodes a [`WireFrame`] from either codec: binary when the frame
 /// opens with [`BINARY_TAG`], JSON otherwise.
 ///
 /// # Errors
 ///
 /// Returns a message on truncation, CRC mismatch, unknown tags, or
 /// malformed JSON — callers skip the frame, as they do today.
-pub fn decode_rpc_request(frame: &[u8]) -> Result<RpcRequest, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json request: {e:?}"));
-    }
-    let body = open(frame, msg::RPC_REQUEST)?;
-    let mut r = ByteReader::new(body);
-    let id = r.varint()?;
-    let command = read_command(&mut r, body.len())?;
-    r.expect_empty()?;
-    Ok(RpcRequest { id, command })
-}
-
-/// Decodes an [`RpcResponse`] from either codec.
-///
-/// # Errors
-///
-/// As [`decode_rpc_request`].
-pub fn decode_rpc_response(frame: &[u8]) -> Result<RpcResponse, String> {
-    if !is_binary(frame) {
-        return serde_json::from_slice(frame).map_err(|e| format!("bad json response: {e:?}"));
-    }
-    let body = open(frame, msg::RPC_RESPONSE)?;
-    let mut r = ByteReader::new(body);
-    let id = r.varint()?;
-    let result = match r.u8()? {
-        0 => Ok(read_value(&mut r)?),
-        1 => Err(r.str()?),
-        other => return Err(format!("unknown result byte {other}")),
-    };
-    r.expect_empty()?;
-    Ok(RpcResponse { id, result })
-}
-
-/// Decodes a [`WireFrame`] from either codec.
-///
-/// # Errors
-///
-/// As [`decode_rpc_request`].
 pub fn decode_wire_frame(frame: &[u8]) -> Result<WireFrame, String> {
     if !is_binary(frame) {
         return serde_json::from_slice(frame).map_err(|e| format!("bad json frame: {e:?}"));
@@ -420,7 +355,7 @@ pub fn decode_wire_frame(frame: &[u8]) -> Result<WireFrame, String> {
 ///
 /// # Errors
 ///
-/// As [`decode_rpc_request`].
+/// As [`decode_wire_frame`].
 pub fn decode_reply_frame(frame: &[u8]) -> Result<ReplyFrame, String> {
     if !is_binary(frame) {
         return serde_json::from_slice(frame).map_err(|e| format!("bad json reply: {e:?}"));
@@ -462,7 +397,7 @@ pub fn decode_reply_frame(frame: &[u8]) -> Result<ReplyFrame, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rad_core::{Command, CommandType};
+    use rad_core::Value;
 
     fn sample_command() -> Command {
         Command::new(
@@ -473,26 +408,6 @@ mod tests {
                 Value::List(vec![Value::Int(-3), Value::Unit]),
             ],
         )
-    }
-
-    #[test]
-    fn rpc_request_round_trips_and_matches_owned_form() {
-        let command = sample_command();
-        let mut buf = Vec::new();
-        encode_rpc_request(&mut buf, 42, &command);
-        assert!(is_binary(&buf));
-        let back = decode_rpc_request(&buf).unwrap();
-        assert_eq!(back, RpcRequest { id: 42, command });
-    }
-
-    #[test]
-    fn rpc_response_round_trips_both_arms() {
-        for result in [Ok(Value::Joints([0.0; 6])), Err("device fault".to_owned())] {
-            let mut buf = Vec::new();
-            encode_rpc_response(&mut buf, 7, &result);
-            let back = decode_rpc_response(&buf).unwrap();
-            assert_eq!(back, RpcResponse { id: 7, result });
-        }
     }
 
     #[test]
@@ -588,28 +503,56 @@ mod tests {
         assert_eq!(decode_wire_frame(&json).unwrap(), frame);
     }
 
-    #[test]
-    fn corruption_and_truncation_are_rejected() {
-        let mut buf = Vec::new();
-        encode_rpc_request(&mut buf, 1, &sample_command());
-        for cut in 0..buf.len() {
-            assert!(decode_rpc_request(&buf[..cut]).is_err(), "cut at {cut}");
+    /// Every strict prefix and every single-bit flip of `frame` fails
+    /// to decode.
+    fn assert_damage_rejected(frame: &[u8], rejects: impl Fn(&[u8]) -> bool) {
+        for cut in 0..frame.len() {
+            assert!(rejects(&frame[..cut]), "cut at {cut}");
         }
-        for bit in 0..(buf.len() * 8) {
-            let mut flipped = buf.clone();
+        for bit in 0..(frame.len() * 8) {
+            let mut flipped = frame.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             // A flip of the version tag's bits may turn the frame into
             // "JSON", which then fails JSON parsing — either way, Err.
-            assert!(decode_rpc_request(&flipped).is_err(), "bit {bit}");
+            assert!(rejects(&flipped), "bit {bit}");
         }
     }
 
     #[test]
+    fn corruption_and_truncation_are_rejected() {
+        let mut request = Vec::new();
+        encode_issue_frame(&mut request, 1, 250, &sample_command());
+        assert_damage_rejected(&request, |b| decode_wire_frame(b).is_err());
+        let mut reply = Vec::new();
+        encode_reply_frame(
+            &mut reply,
+            1,
+            &WireReply::Done {
+                value: Some(Value::Float(0.5)),
+                fault: None,
+            },
+        );
+        assert_damage_rejected(&reply, |b| decode_reply_frame(b).is_err());
+    }
+
+    #[test]
     fn wrong_message_tag_is_rejected() {
-        let mut buf = Vec::new();
-        encode_rpc_request(&mut buf, 1, &sample_command());
-        assert!(decode_rpc_response(&buf).is_err());
-        assert!(decode_wire_frame(&buf).is_err());
+        let mut request = Vec::new();
+        encode_issue_frame(&mut request, 1, 250, &sample_command());
+        assert!(decode_reply_frame(&request).is_err());
+        let mut reply = Vec::new();
+        encode_reply_frame(&mut reply, 1, &WireReply::Accepted);
+        assert!(decode_wire_frame(&reply).is_err());
+        // The retired tags 1 and 2 decode as nothing, even with a
+        // valid CRC over the rest of the frame.
+        for tag in [1, 2] {
+            let mut stale = request.clone();
+            stale.truncate(stale.len() - 4);
+            stale[1] = tag;
+            finish(&mut stale, 0);
+            assert!(decode_wire_frame(&stale).is_err(), "tag {tag}");
+            assert!(decode_reply_frame(&stale).is_err(), "tag {tag}");
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixListener;
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
+use rad_core::RadError;
 use rad_middlebox::rpc::{Duplex, FrameCodec, Transport};
 use rad_middlebox::SocketTransport;
 
@@ -36,11 +38,24 @@ fn cut(stream: &[u8], splits: &[usize]) -> Vec<Vec<u8>> {
     pieces
 }
 
+/// The next chunk a transport delivers, or `None` once the peer has
+/// closed; a quiet-but-connected peer is simply waited on.
+fn next_chunk<T: Transport>(transport: &T) -> Option<Bytes> {
+    loop {
+        match transport.recv(Duration::from_secs(1)) {
+            Ok(chunk) => return Some(chunk),
+            Err(RadError::RpcTimeout(_)) => {}
+            Err(RadError::RpcDisconnected(_)) => return None,
+            Err(e) => panic!("unexpected transport error: {e}"),
+        }
+    }
+}
+
 /// Drains every frame a transport delivers until the peer closes.
 fn decode_all<T: Transport>(transport: &T) -> Vec<Vec<u8>> {
     let mut codec = FrameCodec::new();
     let mut frames = Vec::new();
-    while let Some(chunk) = transport.recv_blocking() {
+    while let Some(chunk) = next_chunk(transport) {
         codec.push(&chunk);
         while let Some(frame) = codec.next_frame().expect("framing never breaks") {
             frames.push(frame.to_vec());
@@ -181,7 +196,7 @@ proptest! {
         let transport = SocketTransport::tcp(conn).expect("wrap");
         let mut codec = FrameCodec::with_max_frame(cap);
         let mut socket_err = None;
-        while let Some(chunk) = transport.recv_blocking() {
+        while let Some(chunk) = next_chunk(&transport) {
             codec.push(&chunk);
             if let Err(e) = codec.next_frame() {
                 socket_err = Some(e);

@@ -128,31 +128,6 @@ fn wire_reply() -> BoxedStrategy<WireReply> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Binary round trip for the RPC data plane: request and response.
-    #[test]
-    fn rpc_frames_round_trip(
-        id in any::<u64>(),
-        command in command(),
-        reply in prop_oneof![
-            value().prop_map(Ok),
-            "[ -~]{0,32}".prop_map(Err),
-        ],
-    ) {
-        let mut frame = Vec::new();
-        wire::encode_rpc_request(&mut frame, id, &command);
-        let decoded = wire::decode_rpc_request(&frame)
-            .map_err(|e| TestCaseError::fail(format!("request rejected: {e}")))?;
-        prop_assert_eq!(decoded.id, id);
-        prop_assert_eq!(&decoded.command, &command);
-
-        let mut frame = Vec::new();
-        wire::encode_rpc_response(&mut frame, id, &reply);
-        let decoded = wire::decode_rpc_response(&frame)
-            .map_err(|e| TestCaseError::fail(format!("response rejected: {e}")))?;
-        prop_assert_eq!(decoded.id, id);
-        prop_assert_eq!(&decoded.result, &reply);
-    }
-
     /// Binary round trip for the server protocol: every request and
     /// reply variant.
     #[test]

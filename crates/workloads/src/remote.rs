@@ -202,7 +202,9 @@ impl<T: Transport> RemoteSession<T> {
             transport,
             codec: FrameCodec::new(),
             codec_kind,
-            next_id: 0,
+            // Id 0 belongs to the server's own frames (admission
+            // rejects, quarantine notices), never to a request.
+            next_id: 1,
             policy,
             cursor: 0,
             scratch: Vec::new(),
@@ -498,8 +500,14 @@ impl<T: Transport> RemoteSession<T> {
                         self.codec.reset();
                         continue;
                     };
-                    if reply.id != id && reply.id != 0 {
-                        // Stale reply from a timed-out earlier attempt.
+                    let server_notice = reply.id == 0
+                        && matches!(
+                            reply.body,
+                            WireReply::Rejected { .. } | WireReply::Failed { .. }
+                        );
+                    if reply.id != id && !server_notice {
+                        // Stale reply from a timed-out earlier attempt
+                        // (or a duplicate of one already consumed).
                         continue;
                     }
                     return match reply.body {

@@ -7,8 +7,8 @@
 //!   grammar, trace objects, procedures, simulated time).
 //! - [`devices`] — simulators for the five Hein Lab devices.
 //! - [`middlebox`] — the RATracer reproduction: device
-//!   virtualization, the RPC middlebox (DIRECT/REMOTE/CLOUD modes), the
-//!   trace pipeline, and the 25 Hz power monitor.
+//!   virtualization, the middlebox (DIRECT/REMOTE/CLOUD modes) and its
+//!   lab service, the trace pipeline, and the 25 Hz power monitor.
 //! - [`store`] — embedded document store, CSV codec, and the
 //!   WAL-backed crash-safe persistence layer.
 //! - [`power`] — UR3e dynamics and current-profile synthesis.
@@ -49,14 +49,12 @@ pub mod prelude {
         TraceRow, TraceSink, TraceSinkExt, TraceSource, Value,
     };
     pub use rad_devices::{Device, LabRig};
-    pub use rad_middlebox::rpc::{
-        Duplex, FrameCodec, RetryPolicy, RpcClient, RpcServer, Transport,
-    };
+    pub use rad_middlebox::rpc::{Duplex, FrameCodec, RetryPolicy, Transport};
     pub use rad_middlebox::{
         CollectingSink, DrainReport, DurableSink, FaultPlan, FaultProfile, FaultStats, Faulty,
         FaultyDuplex, GuardPolicy, GuardedMiddlebox, LabService, LatencyModel, Middlebox,
-        MirrorSink, ModeConfig, RpcCluster, ServerConfig, ServerHandle, ShardPlan, SocketTransport,
-        TenantSinkStack, Tracer, WireCodecKind,
+        MirrorSink, ModeConfig, ServerConfig, ServerHandle, SocketTransport, TenantSinkStack,
+        Tracer, WireCodecKind,
     };
     pub use rad_power::{
         CurrentProfile, Elbow, PowerBlock, PowerRow, PowerSample, PowerSink, PowerSinkExt,

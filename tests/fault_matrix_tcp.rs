@@ -7,8 +7,8 @@
 //!
 //! Separately, the exactly-once invariant from `fault_rpc.rs` is
 //! re-proven with the [`FaultPlan`] interposed on a genuinely real
-//! wire: `Faulty<SocketTransport>` between an [`RpcClient`] and an
-//! [`RpcServer`] across a kernel TCP connection.
+//! wire: `Faulty<SocketTransport>` on both ends of a kernel TCP
+//! connection between a [`RemoteSession`] and a [`LabService`] session.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -184,34 +184,32 @@ fn disconnect_gaps_survive_the_live_wire_with_run_attribution() {
     );
 }
 
-/// `fault_rpc.rs`'s harness, rebuilt over a kernel socket: the
-/// [`FaultPlan`] interposes on real TCP via the [`Transport`] trait
-/// (`Faulty<SocketTransport>` on both ends), and exactly-once still
-/// holds — executions equal delivered acknowledgements, dedup absorbs
-/// every retry.
+/// `fault_rpc.rs`'s harness over a kernel socket: the [`FaultPlan`]
+/// interposes on real TCP via the [`Transport`] trait
+/// (`Faulty<SocketTransport>` on both ends, the server end accepted by
+/// hand and attached to the service), and exactly-once still holds —
+/// executions cover every acknowledgement, dedup absorbs every retry.
 fn tcp_rpc_harness(
     plan: FaultPlan,
+    policy: RetryPolicy,
 ) -> (
-    RpcClient<Faulty<SocketTransport>>,
-    std::thread::JoinHandle<rad_devices::LabRig>,
+    RemoteSession<Faulty<SocketTransport>>,
+    ServerHandle,
     FaultStats,
 ) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let accept = std::thread::spawn(move || {
-        let (conn, _) = listener.accept().expect("accept");
-        SocketTransport::tcp(conn).expect("wrap server")
-    });
     let client_side = SocketTransport::connect_tcp(&addr).expect("connect");
-    let server_side = accept.join().expect("accept thread");
+    let (conn, _) = listener.accept().expect("accept");
+    let server_side = SocketTransport::tcp(conn).expect("wrap server");
     let stats = FaultStats::new();
     let plan = Arc::new(plan);
     let client_side = Faulty::new(client_side, Arc::clone(&plan), Lane::Request, stats.clone());
     let server_side = Faulty::new(server_side, plan, Lane::Response, stats.clone());
-    let server =
-        RpcServer::spawn_with_stats(rad_devices::LabRig::new(0), server_side, stats.clone());
-    let client = RpcClient::new(client_side).with_stats(stats.clone());
-    (client, server, stats)
+    let server = LabService::new(ServerConfig::default()).start();
+    server.attach(server_side).expect("admitted");
+    let session = RemoteSession::connect(client_side, TENANT, policy).expect("hello");
+    (session, server, stats)
 }
 
 #[test]
@@ -224,7 +222,8 @@ fn faulted_real_wire_executes_exactly_once() {
         deadline: Duration::from_secs(3),
         ..RetryPolicy::default()
     };
-    let (mut client, server, stats) = tcp_rpc_harness(FaultPlan::new(7, FaultProfile::drop(0.25)));
+    let (mut session, server, stats) =
+        tcp_rpc_harness(FaultPlan::new(7, FaultProfile::drop(0.25)), policy);
     let total = 30u64;
     let mut acknowledged = 0u64;
     for i in 0..total {
@@ -233,24 +232,22 @@ fn faulted_real_wire_executes_exactly_once() {
         } else {
             Command::nullary(CommandType::Mvng)
         };
-        if client.call_with_retry(&command, &policy).is_ok() {
+        if session.issue(&command).is_ok() {
             acknowledged += 1;
         }
     }
-    drop(client);
-    server.join().unwrap();
+    drop(session);
+    let executions = server.drain().expect("drain").stats.issues;
     assert!(acknowledged > 0, "a 25% drop wire still lands commands");
     assert!(
         stats.dropped() > 0,
         "the plan must actually interpose on the kernel socket"
     );
     assert!(
-        stats.executions() <= total,
-        "{} executions for {} requests — a retry double-executed over real TCP",
-        stats.executions(),
-        total
+        executions <= total,
+        "{executions} executions for {total} requests — a retry double-executed over real TCP"
     );
-    assert!(acknowledged <= stats.executions());
+    assert!(acknowledged <= executions);
     assert!(
         acknowledged > total / 2,
         "retries should recover most calls (got {acknowledged}/{total})"
