@@ -3,16 +3,15 @@
 //!
 //! Four rows, written to `BENCH_wire.json` at the repository root:
 //!
-//! * **json / depth 1** — the PR 8 baseline: lock-step JSON frames,
-//!   one round trip per command (`RemoteSession::issue`).
-//! * **binary / depth 1, 8, 32** — the columnar binary codec driven
-//!   through `issue_pipelined` with the given in-flight window; writes
-//!   coalesce into one send per window.
+//! * **json / depth 1** — the baseline: JSON frames, one round trip
+//!   per command.
+//! * **binary / depth 1, 8, 32** — the columnar binary codec with the
+//!   given in-flight window; writes coalesce into one send per window.
 //!
-//! Latency for the pipelined rows is the *amortized* per-command cost
-//! of a full window (window wall time / window size) — the number a
-//! campaign actually pays per command, comparable to the lock-step
-//! round trip.
+//! Every row runs the same `issue_pipelined` window loop. Latency is
+//! the *amortized* per-command cost of a full window (window wall time
+//! / window size) — the number a campaign actually pays per command;
+//! at depth 1 it is the round trip.
 //!
 //! Scale with `WIRE_TENANTS` (default 4) and `WIRE_CMDS` (default
 //! 200; CI smoke uses less).
@@ -91,25 +90,17 @@ fn run_row(tenants: usize, cmds: usize, codec: WireCodecKind, depth: usize) -> R
                         .expect("hello");
                 let commands: Vec<Command> = (0..cmds).map(command).collect();
                 let mut lat_us = Vec::with_capacity(cmds);
-                if depth <= 1 && codec == WireCodecKind::Json {
-                    for cmd in &commands {
-                        let at = Instant::now();
-                        session.issue(cmd).expect("issue").expect("no fault");
-                        lat_us.push(at.elapsed().as_micros() as u64);
-                    }
-                } else {
-                    let refs: Vec<&Command> = commands.iter().collect();
-                    for window in refs.chunks(depth) {
-                        let at = Instant::now();
-                        let results = session
-                            .issue_pipelined(window, depth)
-                            .unwrap_or_else(|e| panic!("pipelined window failed: {}", e.error));
-                        let amortized =
-                            (at.elapsed().as_micros() as u64 / window.len().max(1) as u64).max(1);
-                        for result in &results {
-                            result.as_ref().expect("no fault");
-                            lat_us.push(amortized);
-                        }
+                let refs: Vec<&Command> = commands.iter().collect();
+                for window in refs.chunks(depth) {
+                    let at = Instant::now();
+                    let results = session
+                        .issue_pipelined(window, depth)
+                        .unwrap_or_else(|e| panic!("pipelined window failed: {}", e.error));
+                    let amortized =
+                        (at.elapsed().as_micros() as u64 / window.len().max(1) as u64).max(1);
+                    for result in &results {
+                        result.as_ref().expect("no fault");
+                        lat_us.push(amortized);
                     }
                 }
                 session.bye().expect("bye");

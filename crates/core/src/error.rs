@@ -127,8 +127,9 @@ impl RadError {
     /// guarantees the retry cannot double-execute.
     /// [`RadError::Overloaded`] is retryable too: admission control
     /// rejects *before* execution, so backing off and re-attempting is
-    /// always safe. Disconnects are terminal for the transport and
-    /// everything else is a caller or protocol error.
+    /// always safe — on a new connection, since the server closes the
+    /// link after every reject. Disconnects are terminal for the
+    /// transport and everything else is a caller or protocol error.
     pub fn is_retryable(&self) -> bool {
         matches!(self, RadError::RpcTimeout(_) | RadError::Overloaded(_))
     }

@@ -291,21 +291,6 @@ impl FrameCodec {
         out.freeze()
     }
 
-    /// Appends one framed payload to a reusable buffer — the
-    /// pooled-buffer form of [`FrameCodec::encode`]. Batch senders
-    /// accumulate several frames in one scratch `Vec` and hand the
-    /// transport a single chunk.
-    ///
-    /// # Panics
-    ///
-    /// As [`FrameCodec::encode`], if `payload` exceeds
-    /// [`MAX_FRAME_BYTES`].
-    pub fn encode_into(payload: &[u8], out: &mut Vec<u8>) {
-        let start = FrameCodec::begin_frame(out);
-        out.extend_from_slice(payload);
-        FrameCodec::finish_frame(out, start);
-    }
-
     /// Reserves a length prefix in `out` so a frame body can be
     /// written in place (no intermediate payload buffer). Returns the
     /// frame's start offset for [`FrameCodec::finish_frame`].
@@ -438,10 +423,11 @@ impl Transport for Duplex {
 /// (`initial_backoff * backoff_factor^(attempt-1)`), optionally
 /// jittered ([`RetryPolicy::with_jitter`]), each attempt waits at most
 /// `attempt_timeout` for its response, and the whole call gives up at
-/// `deadline` regardless of attempts remaining. Only
-/// [retryable](RadError::is_retryable) failures (timeouts, overload
-/// rejects) re-attempt: the retried request reuses its idempotency
-/// token, so the server never double-executes.
+/// `deadline` regardless of attempts remaining. Only timeouts
+/// re-attempt on the same connection: the retried request reuses its
+/// idempotency token, so the server never double-executes. An overload
+/// reject is [retryable](RadError::is_retryable) too, but on a new
+/// connection — the server closes the link after every reject.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of attempts (first try included). At least 1.
@@ -870,16 +856,5 @@ mod tests {
             .sum();
         assert_eq!(evicted, 4);
         assert!(cache.get(2).is_none());
-    }
-
-    #[test]
-    fn encode_into_matches_encode() {
-        let mut pooled = Vec::new();
-        FrameCodec::encode_into(b"hello", &mut pooled);
-        FrameCodec::encode_into(b"", &mut pooled);
-        let mut reference = Vec::new();
-        reference.extend_from_slice(&FrameCodec::encode(b"hello"));
-        reference.extend_from_slice(&FrameCodec::encode(b""));
-        assert_eq!(pooled, reference);
     }
 }

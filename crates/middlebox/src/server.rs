@@ -340,12 +340,6 @@ pub struct ReplyFrame {
     pub body: WireReply,
 }
 
-/// Encodes one reply as a wire frame.
-fn encode_reply(id: u64, body: WireReply) -> Bytes {
-    let payload = serde_json::to_vec(&ReplyFrame { id, body }).expect("replies always serialize");
-    FrameCodec::encode(&payload)
-}
-
 /// Borrowed twin of [`ReplyFrame`]: serializes identically without
 /// taking the reply body by value, so the hot path encodes straight
 /// from the handler's stack frame.
@@ -958,12 +952,12 @@ fn admit(conn_tx: &SyncSender<Conn>, stats: &ServerStats, conn: Conn) -> Result<
         Err(TrySendError::Full(conn)) => {
             stats.note_rejected();
             let reason = "worker pool and backlog are full";
-            let _ = conn.send(encode_reply(
-                0,
-                WireReply::Rejected {
-                    reason: reason.to_string(),
-                },
-            ));
+            let mut frame = Vec::new();
+            let rejected = WireReply::Rejected {
+                reason: reason.to_string(),
+            };
+            append_reply(&mut frame, 0, &rejected, false);
+            let _ = conn.send(Bytes::from(frame));
             Err(RadError::Overloaded(reason.to_string()))
         }
         Err(TrySendError::Disconnected(_)) => Err(RadError::RpcDisconnected(

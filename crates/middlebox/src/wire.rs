@@ -16,11 +16,10 @@
 //! (`0xB1`). JSON payloads always start with `{` (`0x7B`), so a single
 //! leading byte distinguishes the codecs and every decoder here falls
 //! back to JSON transparently. That is the whole negotiation story:
-//! handshake and control frames (`Hello`, `BeginRun`, `Bye`, …) stay
-//! JSON forever, old clients keep working unchanged, and a server
-//! replies to each request in the codec the request arrived in — a
-//! client "negotiates" binary simply by sending it after the JSON
-//! `Hello`/`Welcome` exchange. See DESIGN.md §15.
+//! JSON clients keep working unchanged, and a server replies to each
+//! request in the codec the request arrived in — a client
+//! "negotiates" binary simply by sending it, `Hello` included. See
+//! DESIGN.md §15.
 //!
 //! # Frame layout
 //!
@@ -64,11 +63,10 @@ use crate::server::{ReplyFrame, WireFrame, WireReply, WireRequest};
 /// with `{` (`0x7B`), so the first byte alone routes the decoder.
 pub const BINARY_TAG: u8 = 0xB1;
 
-/// Which encoding a session speaks on its data plane.
+/// Which encoding a client session sends every frame in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodecKind {
-    /// The PR 8 JSON wire — the default, and the only control-plane
-    /// codec.
+    /// The JSON wire — the default.
     #[default]
     Json,
     /// The binary frame codec of this module.

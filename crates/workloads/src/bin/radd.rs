@@ -12,9 +12,10 @@
 //! radd campaign --tcp 127.0.0.1:7171 --tenant alice --seed 42 --max-commands 200
 //! ```
 //!
-//! The campaign's hot path defaults to lock-step JSON; `--codec
-//! binary` switches the issue data plane to the columnar binary
-//! frames and `--pipeline N` keeps up to N requests in flight.
+//! The campaign defaults to JSON frames with one request in flight;
+//! `--codec binary` switches every frame the client sends to the
+//! columnar binary codec and `--pipeline N` keeps up to N requests in
+//! flight, in either codec.
 //!
 //! The server runs until stdin closes or a `quit` line arrives, then
 //! drains gracefully: accepting stops, in-flight sessions finish,

@@ -20,7 +20,7 @@
 //!   each is recorded as a client-side [`TraceGap`], exactly like the
 //!   in-process middlebox's degradation path.
 
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -156,9 +156,11 @@ impl CampaignScript {
 
 /// One framed protocol session over any [`Transport`].
 ///
-/// Handles correlation ids (doubling as idempotency tokens), the
-/// jittered retry schedule, and the typed reply mapping: `Rejected`
-/// surfaces as [`RadError::Overloaded`], `Expired` as
+/// Every request — `Hello`, each `Issue`, every control frame — runs
+/// through one windowed exchange and is encoded in the session's codec.
+/// The session handles correlation ids (doubling as idempotency
+/// tokens), the jittered retry schedule, and the typed reply mapping:
+/// `Rejected` surfaces as [`RadError::Overloaded`], `Expired` as
 /// [`RadError::RpcTimeout`], `Failed` as [`RadError::Rpc`].
 #[derive(Debug)]
 pub struct RemoteSession<T: Transport> {
@@ -172,22 +174,24 @@ pub struct RemoteSession<T: Transport> {
 }
 
 impl<T: Transport> RemoteSession<T> {
-    /// Opens a session for `tenant` over `transport`: sends `Hello`
-    /// (retrying through overload rejects per `policy`) and records
-    /// the server's resume cursor.
+    /// Opens a session for `tenant` over `transport`: sends `Hello` and
+    /// records the server's resume cursor.
     ///
     /// # Errors
     ///
-    /// [`RadError::Overloaded`] when admission keeps failing past the
-    /// policy's attempts; transport errors pass through.
+    /// [`RadError::Overloaded`] when the server rejects the session
+    /// (its worker pool is full, or the tenant already has an active
+    /// session). The server closes the link after every reject, so
+    /// retry on a new connection. Transport errors pass through.
     pub fn connect(transport: T, tenant: &str, policy: RetryPolicy) -> Result<Self, RadError> {
         Self::connect_with(transport, tenant, policy, WireCodecKind::Json)
     }
 
-    /// [`RemoteSession::connect`] with an explicit data-plane codec.
-    /// The handshake and control frames always travel as JSON; `codec`
-    /// selects the encoding of the pipelined `Issue` hot path (every
-    /// frame is self-describing, so no negotiation round-trip exists).
+    /// [`RemoteSession::connect`] with an explicit codec: every frame
+    /// the session sends, `Hello` and the control frames included, is
+    /// encoded with `codec_kind`. Frames are self-describing and the
+    /// server answers in the codec each request arrived in, so no
+    /// negotiation round trip exists.
     ///
     /// # Errors
     ///
@@ -226,38 +230,29 @@ impl<T: Transport> RemoteSession<T> {
         self.cursor
     }
 
-    /// Executes one command remotely. Device faults come back as the
-    /// logged exception string, like the in-process trace records them.
+    /// Executes one command remotely, as a pipelined window of one.
+    /// Device faults come back as the logged exception string, like
+    /// the in-process trace records them.
     ///
     /// # Errors
     ///
     /// Transport and protocol failures; the command itself failing is
     /// the `Err` arm of the *inner* result.
     pub fn issue(&mut self, command: &Command) -> Result<Result<Value, String>, RadError> {
-        let deadline_ms = u64::try_from(self.policy.attempt_timeout.as_millis()).unwrap_or(0);
-        match self.request(WireRequest::Issue {
-            deadline_ms,
-            command: command.clone(),
-        })? {
-            WireReply::Done {
-                value: Some(value),
-                fault: None,
-            } => Ok(Ok(value)),
-            WireReply::Done {
-                fault: Some(fault), ..
-            } => Ok(Err(fault)),
-            other => Err(RadError::Rpc(format!("expected Done, got {other:?}"))),
-        }
+        let mut results = self.issue_pipelined(&[command], 1).map_err(|e| e.error)?;
+        Ok(results
+            .pop()
+            .expect("a finished window of one holds its result"))
     }
 
     /// Executes a batch of commands with up to `depth` requests in
-    /// flight: the window is topped up with one coalesced write +
-    /// flush, replies are reconciled head-of-line against their
-    /// correlation ids, and a retryable failure re-sends *every*
-    /// pending request in one chunk — the ids double as idempotency
-    /// tokens, so the server replays cached replies instead of
-    /// re-executing. Device faults come back in-order as the inner
-    /// `Err` arm, exactly like [`RemoteSession::issue`].
+    /// flight: the window is topped up with one coalesced write,
+    /// replies are reconciled oldest first against their correlation
+    /// ids, and a timeout re-sends *every* pending request in one
+    /// write — the ids double as idempotency tokens, so the server
+    /// replays cached replies instead of re-executing. Device faults
+    /// come back in order as the inner `Err` arm, exactly like
+    /// [`RemoteSession::issue`].
     ///
     /// # Errors
     ///
@@ -268,118 +263,22 @@ impl<T: Transport> RemoteSession<T> {
         commands: &[&Command],
         depth: usize,
     ) -> Result<Vec<Result<Value, String>>, PipelineError> {
-        let depth = depth.max(1);
-        let deadline_ms = u64::try_from(self.policy.attempt_timeout.as_millis()).unwrap_or(0);
-        let mut results: Vec<Result<Value, String>> = Vec::with_capacity(commands.len());
-        let mut pending: VecDeque<(u64, usize)> = VecDeque::new();
-        let mut next = 0usize;
-        let mut attempts = 0u32;
-        let mut head_deadline = Instant::now() + self.policy.deadline;
-        let fail = |results: Vec<Result<Value, String>>, error: RadError| PipelineError {
-            completed: results,
-            error,
+        let mut completed = Vec::with_capacity(commands.len());
+        let done = |reply| match reply {
+            WireReply::Done {
+                value: Some(value),
+                fault: None,
+            } => Ok(Ok(value)),
+            WireReply::Done {
+                fault: Some(fault), ..
+            } => Ok(Err(fault)),
+            other => Err(RadError::Rpc(format!("expected Done, got {other:?}"))),
         };
-        while results.len() < commands.len() {
-            if pending.len() < depth && next < commands.len() {
-                self.scratch.clear();
-                while pending.len() < depth && next < commands.len() {
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.encode_issue(id, deadline_ms, commands[next]);
-                    pending.push_back((id, next));
-                    next += 1;
-                }
-                if let Err(e) = self.flush_scratch() {
-                    return Err(fail(results, e));
-                }
-            }
-            let (head, _) = *pending
-                .front()
-                .expect("incomplete batch has requests in flight");
-            let remaining = head_deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(fail(
-                    results,
-                    RadError::RpcTimeout("pipelined head passed its deadline".into()),
-                ));
-            }
-            let wait = remaining.min(self.policy.attempt_timeout);
-            match self.await_reply(head, wait) {
-                Ok(WireReply::Done {
-                    value: Some(value),
-                    fault: None,
-                }) => {
-                    results.push(Ok(value));
-                    pending.pop_front();
-                    attempts = 0;
-                    head_deadline = Instant::now() + self.policy.deadline;
-                }
-                Ok(WireReply::Done {
-                    fault: Some(fault), ..
-                }) => {
-                    results.push(Err(fault));
-                    pending.pop_front();
-                    attempts = 0;
-                    head_deadline = Instant::now() + self.policy.deadline;
-                }
-                Ok(other) => {
-                    return Err(fail(
-                        results,
-                        RadError::Rpc(format!("expected Done, got {other:?}")),
-                    ));
-                }
-                Err(e) if e.is_retryable() => {
-                    attempts += 1;
-                    if attempts >= self.policy.max_attempts.max(1) {
-                        return Err(fail(results, e));
-                    }
-                    std::thread::sleep(self.policy.backoff_for(attempts));
-                    // Re-send the whole in-flight window in one chunk;
-                    // anything that executed before the loss replays
-                    // from the server's dedup cache.
-                    self.scratch.clear();
-                    for &(id, index) in &pending {
-                        self.encode_issue(id, deadline_ms, commands[index]);
-                    }
-                    if let Err(e) = self.flush_scratch() {
-                        return Err(fail(results, e));
-                    }
-                }
-                Err(e) => return Err(fail(results, e)),
-            }
+        let request = |index: usize| Outgoing::Issue(commands[index]);
+        match self.exchange(commands.len(), depth, request, done, &mut completed) {
+            Ok(()) => Ok(completed),
+            Err(error) => Err(PipelineError { completed, error }),
         }
-        Ok(results)
-    }
-
-    /// Appends one framed `Issue` request to the scratch buffer in the
-    /// session's data-plane codec, borrowing the command — no
-    /// per-issue clone on either path.
-    fn encode_issue(&mut self, id: u64, deadline_ms: u64, command: &Command) {
-        let start = FrameCodec::begin_frame(&mut self.scratch);
-        match self.codec_kind {
-            WireCodecKind::Binary => {
-                wire::encode_issue_frame(&mut self.scratch, id, deadline_ms, command);
-            }
-            WireCodecKind::Json => {
-                let payload = serde_json::to_vec(&IssueFrameRef {
-                    id,
-                    deadline_ms,
-                    command,
-                })
-                .expect("issue frames always serialize");
-                self.scratch.extend_from_slice(&payload);
-            }
-        }
-        FrameCodec::finish_frame(&mut self.scratch, start);
-    }
-
-    /// Sends everything accumulated in the scratch buffer as one
-    /// write + flush.
-    fn flush_scratch(&mut self) -> Result<(), RadError> {
-        if self.scratch.is_empty() {
-            return Ok(());
-        }
-        self.transport.send(Bytes::copy_from_slice(&self.scratch))
     }
 
     /// Opens (or idempotently re-opens) a labelled run.
@@ -457,34 +356,122 @@ impl<T: Transport> RemoteSession<T> {
         }
     }
 
-    /// One request under the retry policy: the id is the idempotency
-    /// token, so a retried request that actually executed the first
-    /// time replays the server's cached reply.
+    /// One control request, as a window of one.
     fn request(&mut self, body: WireRequest) -> Result<WireReply, RadError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let payload = serde_json::to_vec(&WireFrame { id, body })
-            .map_err(|e| RadError::Rpc(format!("encode failure: {e}")))?;
-        let framed = FrameCodec::encode(&payload);
-        let overall_deadline = Instant::now() + self.policy.deadline;
-        let mut last_err = RadError::RpcTimeout("no response before deadline".into());
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.backoff_for(attempt));
+        let mut replies = Vec::with_capacity(1);
+        self.exchange(1, 1, |_| Outgoing::Control(&body), Ok, &mut replies)?;
+        Ok(replies
+            .pop()
+            .expect("a finished window of one holds its reply"))
+    }
+
+    /// The one send/await/retry loop every request runs through: sends
+    /// `count` requests with up to `depth` in flight, topping the window
+    /// up in one write whenever the oldest reply arrives, and pushes
+    /// each reply, oldest first, through `accept` onto `results`.
+    /// Request `i` travels under id `next_id + i`.
+    ///
+    /// A timeout re-sends the whole window in one write under the same
+    /// ids — whatever executed before the loss replays from the
+    /// server's dedup cache. The oldest request gives up after the
+    /// policy's attempts or its deadline, which restarts whenever a
+    /// reply arrives. Any other error, or an `Err` from `accept`, ends
+    /// the exchange with `results` holding what completed before it.
+    fn exchange<'a, R>(
+        &mut self,
+        count: usize,
+        depth: usize,
+        request: impl Fn(usize) -> Outgoing<'a>,
+        accept: impl Fn(WireReply) -> Result<R, RadError>,
+        results: &mut Vec<R>,
+    ) -> Result<(), RadError> {
+        let depth = depth.max(1);
+        let first_id = self.next_id;
+        let mut sent = 0usize;
+        let mut attempts = 0u32;
+        let mut head_deadline = Instant::now() + self.policy.deadline;
+        while results.len() < count {
+            let done = results.len();
+            let upto = count.min(done + depth);
+            if sent < upto {
+                self.next_id = first_id + upto as u64;
+                self.send_window(first_id, sent..upto, &request)?;
+                sent = upto;
             }
-            let remaining = overall_deadline.saturating_duration_since(Instant::now());
+            let remaining = head_deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                break;
+                return Err(RadError::RpcTimeout(
+                    "oldest request passed its deadline".into(),
+                ));
             }
-            self.transport.send(framed.clone())?;
             let wait = remaining.min(self.policy.attempt_timeout);
-            match self.await_reply(id, wait) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.is_retryable() => last_err = e,
+            match self.await_reply(first_id + done as u64, wait) {
+                Ok(reply) => {
+                    results.push(accept(reply)?);
+                    attempts = 0;
+                    head_deadline = Instant::now() + self.policy.deadline;
+                }
+                // Only a timeout is retried on this link. The server
+                // closes it after every `Rejected`, so an overload ends
+                // the exchange and the caller retries on a new one.
+                Err(e @ RadError::RpcTimeout(_)) => {
+                    attempts += 1;
+                    if attempts >= self.policy.max_attempts.max(1) {
+                        return Err(e);
+                    }
+                    std::thread::sleep(self.policy.backoff_for(attempts));
+                    self.send_window(first_id, done..sent, &request)?;
+                }
                 Err(e) => return Err(e),
             }
         }
-        Err(last_err)
+        Ok(())
+    }
+
+    /// Frames requests `indices` (request `i` under id `first_id + i`)
+    /// into the scratch buffer in the session's codec and sends them as
+    /// one write.
+    fn send_window<'a>(
+        &mut self,
+        first_id: u64,
+        indices: Range<usize>,
+        request: &impl Fn(usize) -> Outgoing<'a>,
+    ) -> Result<(), RadError> {
+        let deadline_ms = u64::try_from(self.policy.attempt_timeout.as_millis()).unwrap_or(0);
+        self.scratch.clear();
+        for index in indices {
+            let id = first_id + index as u64;
+            let out = &mut self.scratch;
+            let start = FrameCodec::begin_frame(out);
+            match (self.codec_kind, request(index)) {
+                (WireCodecKind::Binary, Outgoing::Issue(command)) => {
+                    wire::encode_issue_frame(out, id, deadline_ms, command);
+                }
+                (WireCodecKind::Binary, Outgoing::Control(body)) => {
+                    wire::encode_wire_frame(out, id, body);
+                }
+                (WireCodecKind::Json, Outgoing::Issue(command)) => {
+                    let frame = IssueFrameRef {
+                        id,
+                        deadline_ms,
+                        command,
+                    };
+                    let payload =
+                        serde_json::to_vec(&frame).expect("issue frames always serialize");
+                    out.extend_from_slice(&payload);
+                }
+                (WireCodecKind::Json, Outgoing::Control(body)) => {
+                    let frame = WireFrame {
+                        id,
+                        body: body.clone(),
+                    };
+                    let payload = serde_json::to_vec(&frame).expect("requests always serialize");
+                    out.extend_from_slice(&payload);
+                }
+            }
+            FrameCodec::finish_frame(out, start);
+        }
+        self.transport.send(Bytes::copy_from_slice(&self.scratch))
     }
 
     fn await_reply(&mut self, id: u64, timeout: Duration) -> Result<WireReply, RadError> {
@@ -547,6 +534,14 @@ pub struct PipelineError {
     pub completed: Vec<Result<Value, String>>,
     /// The terminal transport/protocol error.
     pub error: RadError,
+}
+
+/// A request as [`RemoteSession`] frames it: an `Issue` borrows its
+/// command, so the hot path never clones one.
+#[derive(Clone, Copy)]
+enum Outgoing<'a> {
+    Issue(&'a Command),
+    Control(&'a WireRequest),
 }
 
 /// Borrowed `Issue` frame serializing byte-identically to
@@ -635,9 +630,9 @@ impl RemoteCampaign {
         self
     }
 
-    /// Selects the data-plane codec ([`WireCodecKind::Json`] by
-    /// default). Binary engages the pipelined issue path even at
-    /// depth 1.
+    /// Selects the codec of every frame the session sends
+    /// ([`WireCodecKind::Json`] by default), independent of the
+    /// pipeline depth.
     #[must_use]
     pub fn with_codec(mut self, codec: WireCodecKind) -> Self {
         self.codec = codec;
@@ -645,10 +640,10 @@ impl RemoteCampaign {
     }
 
     /// Sets the pipelining window: how many `Issue` requests ride the
-    /// wire before the first reply is awaited. Depth 1 with the JSON
-    /// codec is the classic lock-step drive; anything else batches
-    /// consecutive script commands through
-    /// [`RemoteSession::issue_pipelined`].
+    /// wire before the oldest reply is awaited (1 by default: one round
+    /// trip per command). Consecutive script commands batch through
+    /// [`RemoteSession::issue_pipelined`] at this depth, whatever the
+    /// codec.
     #[must_use]
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth.max(1);
@@ -662,9 +657,9 @@ impl RemoteCampaign {
     ///
     /// # Errors
     ///
-    /// Connect failures (admission kept rejecting, transport died
-    /// before `Welcome`); after connect, errors are folded into the
-    /// report per the disconnect policy.
+    /// Connect failures (admission rejected the session, transport
+    /// died before `Welcome`); after connect, errors are folded into
+    /// the report per the disconnect policy.
     pub fn drive<T: Transport>(&self, transport: T) -> Result<DriveReport, RadError> {
         self.resume_from(transport)
     }
@@ -672,7 +667,11 @@ impl RemoteCampaign {
     /// Connects, reads the tenant's executed-command cursor from the
     /// `Welcome`, skips the already-executed script prefix (re-opening
     /// an interrupted run via the server's idempotent `BeginRun`), and
-    /// drives the remainder.
+    /// drives the remainder. Consecutive command steps batch through
+    /// [`RemoteSession::issue_pipelined`] at the campaign's depth, and
+    /// every run boundary sends the batch first, so the server observes
+    /// the script's exact step order at every depth and codec — the
+    /// golden suite pins the exports byte-identical.
     ///
     /// # Errors
     ///
@@ -682,138 +681,8 @@ impl RemoteCampaign {
     /// [`DisconnectPolicy::Fail`] stops with `report.error` set so the
     /// caller can reconnect and resume.
     pub fn resume_from<T: Transport>(&self, transport: T) -> Result<DriveReport, RadError> {
-        let session =
+        let mut session =
             RemoteSession::connect_with(transport, &self.tenant, self.policy.clone(), self.codec)?;
-        if self.pipeline_depth <= 1 && self.codec == WireCodecKind::Json {
-            self.drive_lock_step(session)
-        } else {
-            self.drive_pipelined(session)
-        }
-    }
-
-    /// The classic drive: one round-trip per script step.
-    fn drive_lock_step<T: Transport>(
-        &self,
-        mut session: RemoteSession<T>,
-    ) -> Result<DriveReport, RadError> {
-        let cursor = session.cursor();
-        let mut report = DriveReport {
-            executed: 0,
-            resumed_at: cursor,
-            gaps: Vec::new(),
-            completed: false,
-            error: None,
-        };
-        // The local shadow rig mirrors every command so degraded mode
-        // picks up with consistent device state.
-        let mut shadow = LabRig::new(0);
-        let mut issued = 0u64;
-        let mut open_run: Option<(u32, ProcedureKind, Label)> = None;
-        let mut resumed_open_run = cursor == 0;
-        let mut degraded = false;
-        for step in self.script.steps() {
-            match step {
-                ScriptStep::Begin {
-                    run,
-                    procedure,
-                    label,
-                } => {
-                    open_run = Some((*run, *procedure, *label));
-                    if issued < cursor || degraded {
-                        continue;
-                    }
-                    resumed_open_run = true;
-                    if let Err(e) = session.begin_run(*run, *procedure, *label) {
-                        if self.fold_error(e, &mut report, &mut degraded) {
-                            continue;
-                        }
-                        return Ok(report);
-                    }
-                }
-                ScriptStep::End => {
-                    open_run = None;
-                    if issued < cursor || degraded {
-                        continue;
-                    }
-                    if let Err(e) = session.end_run() {
-                        if self.fold_error(e, &mut report, &mut degraded) {
-                            continue;
-                        }
-                        return Ok(report);
-                    }
-                }
-                ScriptStep::Command(command) => {
-                    // Every command replays on the shadow rig, even the
-                    // skipped prefix — device state must match where
-                    // the dead session left off.
-                    let _ = shadow.execute(command);
-                    if issued < cursor {
-                        issued += 1;
-                        continue;
-                    }
-                    if degraded {
-                        issued += 1;
-                        report
-                            .gaps
-                            .push(self.degraded_gap(command, issued, open_run));
-                        continue;
-                    }
-                    if !resumed_open_run {
-                        // Resuming mid-run: re-open it first. The
-                        // server's BeginRun is idempotent, so this is a
-                        // no-op when the run is still open from the
-                        // killed session.
-                        resumed_open_run = true;
-                        if let Some((run, procedure, label)) = open_run {
-                            if let Err(e) = session.begin_run(run, procedure, label) {
-                                if !self.fold_error(e, &mut report, &mut degraded) {
-                                    return Ok(report);
-                                }
-                            }
-                        }
-                    }
-                    if degraded {
-                        issued += 1;
-                        report
-                            .gaps
-                            .push(self.degraded_gap(command, issued, open_run));
-                        continue;
-                    }
-                    match session.issue(command) {
-                        Ok(_device_result) => {
-                            issued += 1;
-                            report.executed += 1;
-                        }
-                        Err(e) => {
-                            if self.fold_error(e, &mut report, &mut degraded) {
-                                issued += 1;
-                                report
-                                    .gaps
-                                    .push(self.degraded_gap(command, issued, open_run));
-                            } else {
-                                return Ok(report);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !degraded {
-            let _ = session.bye();
-        }
-        report.completed = true;
-        Ok(report)
-    }
-
-    /// The pipelined drive: consecutive command steps batch through
-    /// [`RemoteSession::issue_pipelined`]; run boundaries flush the
-    /// batch first, so the server observes the exact step order of the
-    /// lock-step drive — the golden suite pins the exports
-    /// byte-identical at every depth.
-    fn drive_pipelined<T: Transport>(
-        &self,
-        mut session: RemoteSession<T>,
-    ) -> Result<DriveReport, RadError> {
         let cursor = session.cursor();
         let mut report = DriveReport {
             executed: 0,
@@ -941,10 +810,9 @@ impl RemoteCampaign {
     }
 
     /// Drains the pending command batch through the pipelined window,
-    /// folding a mid-batch failure exactly like the lock-step drive:
-    /// completed commands count as executed, the remainder degrade
-    /// into gaps or stop the drive per the disconnect policy. Returns
-    /// `false` when the drive must stop.
+    /// folding a mid-batch failure: completed commands count as
+    /// executed, the remainder degrade into gaps or stop the drive per
+    /// the disconnect policy. Returns `false` when the drive must stop.
     fn flush_batch<T: Transport>(
         &self,
         session: &mut RemoteSession<T>,

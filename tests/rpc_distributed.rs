@@ -21,8 +21,8 @@ fn lab() -> ServerHandle {
 
 /// Opens a session for `tenant` over a fresh duplex pair attached to
 /// `server`, the client end wrapped by `wrap`. A previous session of the
-/// tenant may still be closing server-side; the typed busy reject (or
-/// the closed link that follows it) is retried briefly.
+/// tenant may still be closing server-side; its typed busy reject is
+/// retried briefly, each time on a new link.
 fn session_over<T: Transport>(
     server: &ServerHandle,
     tenant: &str,
@@ -33,7 +33,7 @@ fn session_over<T: Transport>(
         server.attach(server_side).expect("admitted");
         match RemoteSession::connect(wrap(client_side), tenant, RetryPolicy::default()) {
             Ok(session) => return session,
-            Err(RadError::Overloaded(_) | RadError::RpcDisconnected(_)) => {
+            Err(RadError::Overloaded(_)) => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) => panic!("connect as {tenant} failed: {e}"),
@@ -115,6 +115,46 @@ fn remote_faults_surface_as_rpc_exceptions_without_killing_the_session() {
         (0..32).any(|_| ok(&mut s, &cmd(CommandType::TecanGetStatus)) == Value::Str("idle".into()));
     assert!(idle);
     drop(s);
+    server.drain().unwrap();
+}
+
+/// A session refused by the server, which must be the typed busy reject.
+fn assert_overloaded<T: Transport>(refused: Result<RemoteSession<T>, RadError>) {
+    match refused {
+        Err(RadError::Overloaded(reason)) => assert!(reason.contains("active session"), "{reason}"),
+        Err(e) => panic!("a busy tenant must answer Overloaded, got {e}"),
+        Ok(_) => panic!("a busy tenant admitted a second session"),
+    }
+}
+
+#[test]
+fn connecting_to_a_busy_tenant_is_overloaded() {
+    // The server closes the link after its reject, so the client must
+    // surface the reject, not retry into the closed link.
+    let server = lab();
+    let holder = connect(&server, "busy");
+    let (client_side, server_side) = Duplex::pair();
+    server.attach(server_side).expect("admitted");
+    assert_overloaded(RemoteSession::connect(
+        client_side,
+        "busy",
+        RetryPolicy::default(),
+    ));
+    drop(holder);
+    server.drain().unwrap();
+
+    let server = LabService::new(ServerConfig::default())
+        .serve_tcp("127.0.0.1:0")
+        .expect("serve tcp");
+    let addr = server.local_addr().expect("tcp addr").to_string();
+    let tcp = || SocketTransport::connect_tcp(&addr).expect("connect tcp");
+    let holder = RemoteSession::connect(tcp(), "busy", RetryPolicy::default()).expect("hello");
+    assert_overloaded(RemoteSession::connect(
+        tcp(),
+        "busy",
+        RetryPolicy::default(),
+    ));
+    drop(holder);
     server.drain().unwrap();
 }
 

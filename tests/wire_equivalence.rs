@@ -2,10 +2,11 @@
 //! fast path must be *invisible* in the data. Two proofs:
 //!
 //! 1. **Campaign-export equivalence** — the same seeded campaign
-//!    driven lock-step over JSON (the PR 8 wire, the reference) and
-//!    pipelined over the binary codec at depths 1, 8, and 32 leaves a
-//!    byte-identical export in the tenant's sink: `PartialEq` on whole
-//!    [`TraceObject`]s and [`TraceGap`]s, timestamps included.
+//!    driven lock-step over JSON (the reference), pipelined over the
+//!    binary codec at depths 1, 8, and 32, and pipelined over JSON at
+//!    depth 8 leaves a byte-identical export in the tenant's sink:
+//!    `PartialEq` on whole [`TraceObject`]s and [`TraceGap`]s,
+//!    timestamps included.
 //!
 //! 2. **Fault matrix over the binary wire** — the PR 2 five-profile
 //!    conformance matrix (`tests/fault_matrix_tcp.rs`) rerun with the
@@ -72,15 +73,21 @@ fn campaign_export(codec: WireCodecKind, depth: usize) -> (Vec<TraceObject>, Vec
 fn pipelined_binary_exports_are_byte_identical_to_lock_step_json() {
     let (want_traces, want_gaps) = campaign_export(WireCodecKind::Json, 1);
     assert!(!want_traces.is_empty(), "the reference export is non-empty");
-    for depth in [1usize, 8, 32] {
-        let (got_traces, got_gaps) = campaign_export(WireCodecKind::Binary, depth);
+    for (codec, depth) in [
+        (WireCodecKind::Binary, 1usize),
+        (WireCodecKind::Binary, 8),
+        (WireCodecKind::Binary, 32),
+        (WireCodecKind::Json, 8),
+    ] {
+        let (got_traces, got_gaps) = campaign_export(codec, depth);
+        let codec = codec.as_name();
         assert_eq!(
             got_traces, want_traces,
-            "depth {depth}: binary pipelined traces diverge from lock-step JSON"
+            "{codec} depth {depth}: pipelined traces diverge from lock-step JSON"
         );
         assert_eq!(
             got_gaps, want_gaps,
-            "depth {depth}: binary pipelined gaps diverge from lock-step JSON"
+            "{codec} depth {depth}: pipelined gaps diverge from lock-step JSON"
         );
     }
 }
