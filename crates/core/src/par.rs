@@ -8,7 +8,10 @@
 //! fan-out site now asks [`should_fan_out`] first and falls back to
 //! the sequential loop below its threshold; because parallel merges
 //! are index-ordered everywhere, the two paths produce bit-identical
-//! results and the choice is invisible to callers.
+//! results and the choice is invisible to callers. The export bundle
+//! writer is the exception: it always stages files on
+//! [`max_workers`] threads, because every file already costs an
+//! fsync, which is larger than a thread spawn.
 
 use std::num::NonZeroUsize;
 

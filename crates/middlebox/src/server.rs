@@ -139,7 +139,13 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
+    /// The one constructor every socket goes through, dialed or
+    /// accepted: TCP streams get `TCP_NODELAY` here, so a small reply
+    /// never waits out the peer's delayed ACK behind Nagle.
     fn from_stream(stream: SocketStream) -> Result<Self, RadError> {
+        if let SocketStream::Tcp(tcp) = &stream {
+            let _ = tcp.set_nodelay(true);
+        }
         let reader = stream
             .try_clone()
             .map_err(|e| RadError::Rpc(format!("socket clone failed: {e}")))?;
@@ -156,7 +162,6 @@ impl SocketTransport {
     /// [`RadError::Rpc`] if the descriptor cannot be cloned into
     /// independent read/write halves.
     pub fn tcp(stream: TcpStream) -> Result<Self, RadError> {
-        let _ = stream.set_nodelay(true);
         SocketTransport::from_stream(SocketStream::Tcp(stream))
     }
 
@@ -2110,5 +2115,22 @@ mod tests {
         assert_eq!(tenant_seed(7, "alice"), tenant_seed(7, "alice"));
         assert_ne!(tenant_seed(7, "alice"), tenant_seed(7, "bob"));
         assert_ne!(tenant_seed(7, "alice"), tenant_seed(8, "alice"));
+    }
+
+    #[test]
+    fn accepted_tcp_streams_disable_nagle() {
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").unwrap());
+        let Listener::Tcp(tcp) = &listener else {
+            unreachable!("bound as TCP")
+        };
+        let _client = TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        // The accept thread's path: `Listener::accept` then `from_stream`.
+        let transport = SocketTransport::from_stream(listener.accept().unwrap()).unwrap();
+        for half in [&transport.reader, &transport.writer] {
+            let SocketStream::Tcp(stream) = &*half.lock() else {
+                unreachable!("accepted from a TCP listener")
+            };
+            assert!(stream.nodelay().unwrap(), "accepted socket keeps Nagle on");
+        }
     }
 }

@@ -5,13 +5,20 @@
 //! the two export schemas: trace objects (command dataset) and power
 //! samples (power dataset).
 
+use std::fmt::{self, Write as _};
 use std::io::Write;
 
 use rad_core::{
     Alert, Command, CommandType, DeviceId, DeviceKind, Label, ProcedureKind, RadError, RunId,
-    SimDuration, SimInstant, TraceBatch, TraceGap, TraceId, TraceMode, TraceObject, Value,
+    SimDuration, SimInstant, TraceBatch, TraceGap, TraceId, TraceMode, TraceObject, TraceRow,
+    Value,
 };
 use rad_power::{PowerBlock, PowerSample};
+
+/// The streaming encoders build rows in a byte buffer and hand it to
+/// the writer once it holds this many bytes, so a file of any size
+/// costs one buffer of memory.
+const FLUSH_BYTES: usize = 64 * 1024;
 
 /// Encodes one CSV field, quoting when needed.
 fn encode_field(field: &str) -> String {
@@ -20,6 +27,52 @@ fn encode_field(field: &str) -> String {
     } else {
         field.to_owned()
     }
+}
+
+/// Appends `value`'s `Display` text to `out` as one field, quoted
+/// exactly as [`encode_field`] quotes it; `scratch` holds the text.
+fn push_field(out: &mut Vec<u8>, scratch: &mut String, value: &dyn fmt::Display) {
+    scratch.clear();
+    write!(scratch, "{value}").expect("formatting into a String cannot fail");
+    if !scratch.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.extend_from_slice(scratch.as_bytes());
+        return;
+    }
+    out.push(b'"');
+    for (i, part) in scratch.split('"').enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b"\"\"");
+        }
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.push(b'"');
+}
+
+/// Appends one data row of the command-dataset export, newline
+/// included: the bytes [`traces_to_csv`] writes for the same trace.
+fn push_trace_row(out: &mut Vec<u8>, scratch: &mut String, t: &TraceRow<'_>) {
+    let args = serde_json::to_string(t.args()).expect("values serialize");
+    let ret = serde_json::to_string(t.return_value()).expect("values serialize");
+    let fields: [&dyn fmt::Display; 10] = [
+        &t.id().0,
+        &t.timestamp().as_micros(),
+        &t.device().kind(),
+        &t.command_type().mnemonic(),
+        &args,
+        &t.mode(),
+        &ret,
+        &t.exception().unwrap_or_default(),
+        &t.response_time().as_micros(),
+        &t.procedure().paper_id(),
+    ];
+    for field in fields {
+        push_field(out, scratch, field);
+        out.push(b',');
+    }
+    if let Some(run) = t.run_id() {
+        push_field(out, scratch, &run.0);
+    }
+    out.push(b'\n');
 }
 
 /// Encodes one row.
@@ -127,7 +180,9 @@ pub fn write_traces_csv_header<W: Write + ?Sized>(out: &mut W) -> std::io::Resul
 
 /// Streams one batch's data rows (no header) into `out`. Byte-for-byte
 /// identical to the corresponding slice of [`traces_to_csv`], but reads
-/// the columns directly — no `TraceObject` materialization.
+/// the columns directly — no `TraceObject` materialization — and
+/// writes each field straight into a byte buffer that is flushed to
+/// `out` every 64 KiB.
 ///
 /// # Errors
 ///
@@ -136,26 +191,16 @@ pub fn write_traces_csv_rows<W: Write + ?Sized>(
     out: &mut W,
     batch: &TraceBatch,
 ) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(FLUSH_BYTES);
+    let mut scratch = String::new();
     for t in batch.iter() {
-        let args = serde_json::to_string(t.args()).expect("values serialize");
-        let ret = serde_json::to_string(t.return_value()).expect("values serialize");
-        let row = [
-            t.id().0.to_string(),
-            t.timestamp().as_micros().to_string(),
-            t.device().kind().to_string(),
-            t.command_type().mnemonic().to_owned(),
-            args,
-            t.mode().to_string(),
-            ret,
-            t.exception().unwrap_or_default().to_owned(),
-            t.response_time().as_micros().to_string(),
-            t.procedure().paper_id().to_owned(),
-            t.run_id().map(|r| r.0.to_string()).unwrap_or_default(),
-        ];
-        out.write_all(encode_row(&row).as_bytes())?;
-        out.write_all(b"\n")?;
+        push_trace_row(&mut buf, &mut scratch, &t);
+        if buf.len() >= FLUSH_BYTES {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    Ok(())
+    out.write_all(&buf)
 }
 
 /// Streams a whole batch as a CSV document (header + rows) into `out`.
@@ -454,9 +499,10 @@ pub fn alerts_from_csv(text: &str) -> Result<Vec<Alert>, RadError> {
 
 /// Serializes power samples to a 122-column CSV document.
 ///
-/// Row-oriented reference path (allocates one `to_row` vector plus one
-/// formatted string per field); exports stream
-/// [`write_power_csv`] instead, which is byte-identical.
+/// The row-oriented reference encoder (one `to_row` vector plus one
+/// formatted string per field) that the tests compare
+/// [`write_power_csv`] against; exports stream through
+/// [`write_power_csv`], which is byte-identical.
 pub fn power_to_csv(samples: &[PowerSample]) -> String {
     let mut out = String::new();
     out.push_str(&PowerSample::column_names().join(","));
@@ -469,30 +515,56 @@ pub fn power_to_csv(samples: &[PowerSample]) -> String {
     out
 }
 
-/// Streams a columnar power block to 122-column CSV, formatting each
-/// lane value straight into `out` — no per-sample materialization and
-/// no intermediate strings, so a multi-gigabyte recording exports in
-/// bounded memory. Byte-for-byte identical to [`power_to_csv`] over
-/// the same ticks (both use `f64`'s `Display` and bare-comma joins;
-/// power column names never need quoting).
+/// Streams a columnar power block to 122-column CSV. Rows are encoded
+/// into one byte buffer that is flushed to `out` every 64 KiB — no
+/// per-sample materialization and no per-field strings, so a
+/// multi-gigabyte recording exports in bounded memory.
+///
+/// Each lane keeps its previous tick's bits and text: a value whose
+/// bits repeat (constant and slowly-changing RTDE lanes) copies those
+/// bytes instead of formatting again. The cache starts from row 0's
+/// values, never from a sentinel, since every bit pattern is some
+/// `f64`.
+///
+/// Byte-for-byte identical to [`power_to_csv`] over the same ticks
+/// (both use `f64`'s `Display` and bare-comma joins; power column
+/// names never need quoting).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `out`.
 pub fn write_power_csv<W: Write + ?Sized>(out: &mut W, block: &PowerBlock) -> std::io::Result<()> {
-    let mut header = PowerSample::column_names().join(",");
-    header.push('\n');
-    out.write_all(header.as_bytes())?;
+    let mut buf = Vec::with_capacity(FLUSH_BYTES);
+    buf.extend_from_slice(PowerSample::column_names().join(",").as_bytes());
+    buf.push(b'\n');
+    let lanes: Vec<&[f64]> = (0..PowerSample::FIELD_COUNT)
+        .map(|l| block.lane(l))
+        .collect();
+    let mut cache: Vec<(u64, String)> = lanes
+        .iter()
+        .filter_map(|lane| lane.first())
+        .map(|v| (v.to_bits(), v.to_string()))
+        .collect();
     for i in 0..block.len() {
-        for l in 0..PowerSample::FIELD_COUNT {
+        for (l, (lane, (bits, text))) in lanes.iter().zip(&mut cache).enumerate() {
             if l > 0 {
-                out.write_all(b",")?;
+                buf.push(b',');
             }
-            write!(out, "{}", block.lane(l)[i])?;
+            let value = lane[i];
+            if value.to_bits() != *bits {
+                *bits = value.to_bits();
+                text.clear();
+                write!(text, "{value}").expect("formatting into a String cannot fail");
+            }
+            buf.extend_from_slice(text.as_bytes());
         }
-        out.write_all(b"\n")?;
+        buf.push(b'\n');
+        if buf.len() >= FLUSH_BYTES {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    Ok(())
+    out.write_all(&buf)
 }
 
 #[cfg(test)]

@@ -13,16 +13,22 @@
 
 use std::fmt;
 use std::fs;
-use std::path::Path;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
-use rad_core::{Alert, RadError, RunMetadata, TraceGap, TraceSource};
+use parking_lot::Mutex;
+use rad_core::par::max_workers;
+use rad_core::{
+    Alert, Label, ProcedureKind, RadError, RunId, RunMetadata, TraceBatch, TraceGap, TraceSource,
+};
+use rad_power::PowerBlock;
 use serde_json::json;
 
 use crate::csv;
 use crate::dataset::{CommandDataset, PowerDataset};
 use crate::document::DocumentStore;
-use crate::segment::SegmentSet;
-use crate::wal::{atomic_write_file, atomic_write_stream, CrashInjector};
+use crate::segment::{SegmentScan, SegmentSet};
+use crate::wal::{atomic_write_file, stage_stream, sync_dir, temp_path, CrashInjector, CrashSite};
 
 fn io_err(context: &str, e: std::io::Error) -> RadError {
     RadError::Store(format!("{context}: {e}"))
@@ -79,10 +85,16 @@ impl fmt::Display for LoadReport {
 /// Writes the full RAD bundle under `dir` (created if missing).
 /// Returns the number of files written.
 ///
-/// Every file is written atomically (temp + fsync + rename) and the
-/// manifest is written last, so a crash at any point leaves either a
-/// complete bundle or one that is recognizably partial (no
-/// `MANIFEST.json`) — never a truncated file posing as a complete one.
+/// Every file is encoded into an fsynced temp file, on one worker per
+/// core ([`rad_core::par::max_workers`]). The calling thread then
+/// renames the temps into place in bundle order, fsyncs `power/` and
+/// `dir`, and writes `MANIFEST.json` last, fsyncing `dir` again. A
+/// crash at any point therefore leaves either a complete bundle or one
+/// that is recognizably partial (no `MANIFEST.json`) — never a
+/// truncated file posing as a complete one — and the renamed files are
+/// always a prefix of the bundle order. Encoders stream through a
+/// fixed-size buffer, so neither a file nor the bundle is ever held in
+/// memory.
 ///
 /// # Errors
 ///
@@ -128,94 +140,18 @@ pub fn export_rad_alerted(
     dir: &Path,
     injector: Option<&CrashInjector>,
 ) -> Result<usize, RadError> {
-    fs::create_dir_all(dir).map_err(|e| io_err("creating bundle dir", e))?;
-    let mut files = 0;
-
-    // Streamed straight from the columnar batch through a fixed-size
-    // buffer — the bundle never has to fit in memory twice.
-    atomic_write_stream(&dir.join("commands.csv"), injector, |w| {
-        csv::write_traces_csv(w, commands.batch())
-    })?;
-    files += 1;
-
-    atomic_write_file(
-        &dir.join("runs.csv"),
-        runs_csv(commands.runs()).as_bytes(),
-        injector,
-    )?;
-    files += 1;
-
-    // Trace gaps are part of the published record: a bundle collected
-    // through an outage says so explicitly instead of shrinking.
-    if !commands.gaps().is_empty() {
-        atomic_write_file(
-            &dir.join("gaps.csv"),
-            csv::gaps_to_csv(commands.gaps()).as_bytes(),
-            injector,
-        )?;
-        files += 1;
-    }
-
-    if !alerts.is_empty() {
-        atomic_write_file(
-            &dir.join("alerts.csv"),
-            csv::alerts_to_csv(alerts).as_bytes(),
-            injector,
-        )?;
-        files += 1;
-    }
-
-    let power_dir = dir.join("power");
-    fs::create_dir_all(&power_dir).map_err(|e| io_err("creating power dir", e))?;
-    for (i, recording) in power.recordings().iter().enumerate() {
-        let name = format!(
-            "{}-{:04}-{}.csv",
-            recording.procedure.paper_id(),
-            i,
-            recording.run_id.0
-        );
-        atomic_write_stream(&power_dir.join(name), injector, |w| {
-            csv::write_power_csv(w, recording.profile.block())
-        })?;
-        files += 1;
-    }
-
-    // Manifest last: its presence certifies the bundle is complete.
-    let manifest = json!({
-        "dataset": "RAD (simulated reproduction)",
-        "trace_objects": commands.len(),
-        "runs": commands.runs().len(),
-        "supervised_runs": commands.supervised_runs().len(),
-        "trace_gaps": commands.gaps().len(),
-        "alerts": alerts.len(),
-        "power_recordings": power.recordings().len(),
-        "power_entries": power.total_entries(),
-        "files": files + 1,
-    });
-    atomic_write_file(
-        &dir.join("MANIFEST.json"),
-        serde_json::to_string_pretty(&manifest)
-            .expect("manifest serializes")
-            .as_bytes(),
-        injector,
-    )?;
-    Ok(files + 1)
-}
-
-/// Encodes the `runs.csv` metadata table. Shared by both exporters so
-/// the segment-fed bundle is byte-identical to the in-memory one.
-fn runs_csv(runs: &[RunMetadata]) -> String {
-    let mut out = String::from("run_id,procedure,label,note\n");
-    for run in runs {
-        out.push_str(&csv::encode_row(&[
-            run.run_id().0.to_string(),
-            run.kind().paper_id().to_owned(),
-            run.label().to_string(),
-            run.operator_note().unwrap_or_default().to_owned(),
-        ]));
-        out.push('\n');
-    }
-    out
+    let bundle = Bundle {
+        traces: Traces::Batch(commands.batch()),
+        runs: commands.runs(),
+        gaps: commands.gaps(),
+        alerts,
+        power: power
+            .recordings()
+            .iter()
+            .map(|r| (r.procedure, r.run_id, r.profile.block()))
+            .collect(),
+    };
+    write_bundle(bundle, dir, injector)
 }
 
 /// Writes the full RAD bundle under `dir`, streaming the trace and
@@ -263,79 +199,166 @@ pub fn export_rad_from_segments_alerted(
     dir: &Path,
     injector: Option<&CrashInjector>,
 ) -> Result<usize, RadError> {
-    fs::create_dir_all(dir).map_err(|e| io_err("creating bundle dir", e))?;
-    let mut files = 0;
-
     require_complete(segments.quarantined())?;
-    let mut scan = segments.read_all()?;
+    let scan = segments.read_all()?;
     require_complete(scan.quarantined())?;
-    let trace_objects = scan.rows();
-    atomic_write_stream(&dir.join("commands.csv"), injector, |w| {
-        csv::write_traces_csv_header(w)?;
-        // SegmentScan::next_batch is infallible: decode already
-        // happened (and was CRC-checked) inside the query.
-        while let Ok(Some(batch)) = scan.next_batch() {
-            csv::write_traces_csv_rows(w, &batch)?;
-        }
-        Ok(())
-    })?;
-    files += 1;
-
-    atomic_write_file(&dir.join("runs.csv"), runs_csv(runs).as_bytes(), injector)?;
-    files += 1;
-
-    if !gaps.is_empty() {
-        atomic_write_file(
-            &dir.join("gaps.csv"),
-            csv::gaps_to_csv(gaps).as_bytes(),
-            injector,
-        )?;
-        files += 1;
-    }
-
-    if !alerts.is_empty() {
-        atomic_write_file(
-            &dir.join("alerts.csv"),
-            csv::alerts_to_csv(alerts).as_bytes(),
-            injector,
-        )?;
-        files += 1;
-    }
-
     let power_scan = segments.power_recordings()?;
     require_complete(power_scan.quarantined())?;
     let recordings = power_scan.into_recordings();
-    let power_entries: usize = recordings.iter().map(|(_, block)| block.len()).sum();
-    let power_dir = dir.join("power");
-    fs::create_dir_all(&power_dir).map_err(|e| io_err("creating power dir", e))?;
-    for (i, (meta, block)) in recordings.iter().enumerate() {
-        let name = format!(
-            "{}-{:04}-{}.csv",
-            meta.procedure.paper_id(),
-            i,
-            meta.run_id.0
-        );
-        atomic_write_stream(&power_dir.join(name), injector, |w| {
-            csv::write_power_csv(w, block)
-        })?;
-        files += 1;
+    let bundle = Bundle {
+        traces: Traces::Scan(scan),
+        runs,
+        gaps,
+        alerts,
+        power: recordings
+            .iter()
+            .map(|(meta, block)| (meta.procedure, meta.run_id, block))
+            .collect(),
+    };
+    write_bundle(bundle, dir, injector)
+}
+
+/// Where a bundle's trace rows come from.
+enum Traces<'a> {
+    /// An in-memory dataset's columnar batch.
+    Batch(&'a TraceBatch),
+    /// A segment query, streamed batch by batch.
+    Scan(SegmentScan),
+}
+
+impl Traces<'_> {
+    fn rows(&self) -> u64 {
+        match self {
+            Traces::Batch(batch) => batch.len() as u64,
+            Traces::Scan(scan) => scan.rows(),
+        }
     }
 
-    let supervised = runs
-        .iter()
-        .filter(|r| r.label() != rad_core::Label::Unknown)
-        .count();
+    fn write_csv(self, out: &mut dyn Write) -> io::Result<()> {
+        match self {
+            Traces::Batch(batch) => csv::write_traces_csv(out, batch),
+            Traces::Scan(mut scan) => {
+                csv::write_traces_csv_header(out)?;
+                // SegmentScan::next_batch is infallible: decode already
+                // happened (and was CRC-checked) inside the query.
+                while let Ok(Some(batch)) = scan.next_batch() {
+                    csv::write_traces_csv_rows(out, &batch)?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Everything one bundle publishes, whichever store it was read from.
+struct Bundle<'a> {
+    traces: Traces<'a>,
+    runs: &'a [RunMetadata],
+    gaps: &'a [TraceGap],
+    alerts: &'a [Alert],
+    /// `(procedure, run, ticks)` of each power recording, in order.
+    power: Vec<(ProcedureKind, RunId, &'a PowerBlock)>,
+}
+
+/// Encodes one bundle file into its temp file.
+type Encode<'a> = Box<dyn FnOnce(&mut dyn Write) -> io::Result<()> + Send + 'a>;
+
+/// The one bundle writer behind every public exporter: it alone names
+/// the files, orders them, and fills the manifest.
+///
+/// Crash sites are visited on the calling thread in bundle order:
+/// [`CrashSite::MidCompaction`] once per file before any is staged
+/// (leaving a torn temp file), [`CrashSite::MidRename`] once per
+/// rename. `CrashPlan::at(site, k)` therefore kills the same file
+/// whatever the core count.
+fn write_bundle(
+    bundle: Bundle<'_>,
+    dir: &Path,
+    injector: Option<&CrashInjector>,
+) -> Result<usize, RadError> {
+    let Bundle {
+        traces,
+        runs,
+        gaps,
+        alerts,
+        power,
+    } = bundle;
+    let power_dir = dir.join("power");
+    fs::create_dir_all(&power_dir).map_err(|e| io_err("creating power dir", e))?;
+
+    let supervised_runs = runs.iter().filter(|r| r.label() != Label::Unknown).count();
+    let power_entries: usize = power.iter().map(|(_, _, block)| block.len()).sum();
+    let trace_objects = traces.rows();
+
+    let mut files: Vec<(PathBuf, Encode<'_>)> = vec![
+        (
+            dir.join("commands.csv"),
+            Box::new(move |w| traces.write_csv(w)),
+        ),
+        (
+            dir.join("runs.csv"),
+            Box::new(move |w| w.write_all(runs_csv(runs).as_bytes())),
+        ),
+    ];
+    // Trace gaps are part of the published record: a bundle collected
+    // through an outage says so explicitly instead of shrinking.
+    if !gaps.is_empty() {
+        files.push((
+            dir.join("gaps.csv"),
+            Box::new(move |w| w.write_all(csv::gaps_to_csv(gaps).as_bytes())),
+        ));
+    }
+    if !alerts.is_empty() {
+        files.push((
+            dir.join("alerts.csv"),
+            Box::new(move |w| w.write_all(csv::alerts_to_csv(alerts).as_bytes())),
+        ));
+    }
+    for (i, &(procedure, run_id, block)) in power.iter().enumerate() {
+        let name = format!("{}-{:04}-{}.csv", procedure.paper_id(), i, run_id.0);
+        files.push((
+            power_dir.join(name),
+            Box::new(move |w| csv::write_power_csv(w, block)),
+        ));
+    }
+
+    // Manifest last: its presence certifies the bundle is complete.
     let manifest = json!({
         "dataset": "RAD (simulated reproduction)",
         "trace_objects": trace_objects,
-        "runs": (runs.len()),
-        "supervised_runs": supervised,
-        "trace_gaps": (gaps.len()),
-        "alerts": (alerts.len()),
-        "power_recordings": (recordings.len()),
+        "runs": runs.len(),
+        "supervised_runs": supervised_runs,
+        "trace_gaps": gaps.len(),
+        "alerts": alerts.len(),
+        "power_recordings": power.len(),
         "power_entries": power_entries,
-        "files": (files + 1),
+        "files": files.len() + 1,
     });
+
+    let mut staged = Vec::with_capacity(files.len());
+    let mut renames = Vec::with_capacity(files.len());
+    for (path, encode) in files {
+        let tmp = temp_path(&path)?;
+        if let Some(err) = injector.and_then(|i| i.trip(CrashSite::MidCompaction)) {
+            // A torn temp file; no final name is touched.
+            let _ = fs::write(&tmp, b"");
+            return Err(err);
+        }
+        staged.push((tmp.clone(), encode));
+        renames.push((tmp, path));
+    }
+    stage_all(staged)?;
+
+    for (tmp, path) in &renames {
+        if let Some(err) = injector.and_then(|i| i.trip(CrashSite::MidRename)) {
+            // Temp file complete, rename never happened.
+            return Err(err);
+        }
+        fs::rename(tmp, path).map_err(|e| io_err("renaming temp file into place", e))?;
+    }
+    sync_dir(&power_dir)?;
+    sync_dir(dir)?;
+
     atomic_write_file(
         &dir.join("MANIFEST.json"),
         serde_json::to_string_pretty(&manifest)
@@ -343,7 +366,53 @@ pub fn export_rad_from_segments_alerted(
             .as_bytes(),
         injector,
     )?;
-    Ok(files + 1)
+    sync_dir(dir)?;
+    Ok(renames.len() + 1)
+}
+
+/// Encodes every `(tmp, encode)` file into its fsynced temp file on
+/// [`max_workers`] threads, which take the files in order.
+///
+/// # Errors
+///
+/// The first staging failure, by worker.
+fn stage_all(files: Vec<(PathBuf, Encode<'_>)>) -> Result<(), RadError> {
+    let queue = Mutex::new(files.into_iter());
+    let results: Vec<Result<(), RadError>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..max_workers())
+            .map(|_| {
+                s.spawn(|| loop {
+                    // Bind first: the queue lock must not be held while
+                    // the file is encoded.
+                    let next = queue.lock().next();
+                    let Some((tmp, encode)) = next else {
+                        return Ok(());
+                    };
+                    stage_stream(&tmp, encode)?;
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("a staging worker panicked"))
+            .collect()
+    });
+    results.into_iter().collect()
+}
+
+/// Encodes the `runs.csv` metadata table.
+fn runs_csv(runs: &[RunMetadata]) -> String {
+    let mut out = String::from("run_id,procedure,label,note\n");
+    for run in runs {
+        out.push_str(&csv::encode_row(&[
+            run.run_id().0.to_string(),
+            run.kind().paper_id().to_owned(),
+            run.label().to_string(),
+            run.operator_note().unwrap_or_default().to_owned(),
+        ]));
+        out.push('\n');
+    }
+    out
 }
 
 /// An export fed from segments refuses to publish past quarantined
@@ -834,37 +903,85 @@ mod tests {
         }
     }
 
+    /// Three short recordings whose procedures are out of name order,
+    /// so the bundle order is not the directory listing's.
+    fn small_power() -> PowerDataset {
+        use rad_power::{CurrentProfile, PowerSample};
+        let mut power = PowerDataset::new();
+        for (i, procedure) in [
+            ProcedureKind::AutomatedSolubilityN9Ur3e,
+            ProcedureKind::JoystickMovements,
+            ProcedureKind::AutomatedSolubilityN9,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let ticks = (0..3)
+                .map(|t| PowerSample::quiescent(0.04 * t as f64, [0.1 * i as f64; 6]))
+                .collect();
+            power.push(crate::dataset::PowerRecording {
+                procedure,
+                run_id: RunId(i as u32),
+                description: String::new(),
+                profile: CurrentProfile::from_samples(ticks),
+            });
+        }
+        power
+    }
+
     #[test]
     fn crashed_export_never_looks_complete() {
         use crate::wal::{CrashInjector, CrashPlan, CrashSite};
         let ds = small_dataset();
-        // Kill the export at every write site in turn: whatever
-        // survives, the manifest-last ordering marks the bundle partial.
-        for occurrence in 0..3 {
-            for site in [CrashSite::MidCompaction, CrashSite::MidRename] {
-                let dir = tmpdir(&format!("atomic-{site}-{occurrence}"));
-                let injector = CrashInjector::new(CrashPlan::at(site, occurrence));
-                let err =
-                    export_rad_with(&ds, &PowerDataset::new(), &dir, Some(&injector)).unwrap_err();
-                assert!(err.to_string().contains("injected crash"), "{err}");
-                assert!(
-                    !super::bundle_is_complete(&dir),
-                    "{site}/{occurrence}: a crashed export must not look complete"
-                );
-                // Whatever files did land are complete, parseable files.
-                if dir.join("commands.csv").exists() {
-                    let text = fs::read_to_string(dir.join("commands.csv")).unwrap();
-                    assert_eq!(csv::traces_from_csv(&text).unwrap().len(), ds.len());
-                }
-                let _ = fs::remove_dir_all(&dir);
+        for power in [PowerDataset::new(), small_power()] {
+            // The bundle order: every file the export renames, then the
+            // manifest.
+            let mut order = vec![std::path::PathBuf::from("commands.csv"), "runs.csv".into()];
+            for (i, r) in power.recordings().iter().enumerate() {
+                let name = format!("{}-{:04}-{}.csv", r.procedure.paper_id(), i, r.run_id.0);
+                order.push(Path::new("power").join(name));
             }
+            order.push("MANIFEST.json".into());
+            // Kill the export at every write site in turn: whatever
+            // survives, the manifest-last ordering marks the bundle partial.
+            for occurrence in 0..order.len() as u64 {
+                for site in [CrashSite::MidCompaction, CrashSite::MidRename] {
+                    let dir = tmpdir(&format!(
+                        "atomic-{site}-{occurrence}-{}",
+                        power.recordings().len()
+                    ));
+                    let injector = CrashInjector::new(CrashPlan::at(site, occurrence));
+                    let err = export_rad_with(&ds, &power, &dir, Some(&injector)).unwrap_err();
+                    assert!(err.to_string().contains("injected crash"), "{err}");
+                    assert!(
+                        !super::bundle_is_complete(&dir),
+                        "{site}/{occurrence}: a crashed export must not look complete"
+                    );
+                    // Whatever files did land are complete, parseable files.
+                    if dir.join("commands.csv").exists() {
+                        let text = fs::read_to_string(dir.join("commands.csv")).unwrap();
+                        assert_eq!(csv::traces_from_csv(&text).unwrap().len(), ds.len());
+                    }
+                    // ...and they are a prefix of the bundle order, one
+                    // file per rename that went through.
+                    let landed = order.iter().take_while(|f| dir.join(f).exists()).count();
+                    assert!(
+                        order[landed..].iter().all(|f| !dir.join(f).exists()),
+                        "{site}/{occurrence}: landed files are not a prefix"
+                    );
+                    if site == CrashSite::MidRename {
+                        assert_eq!(landed as u64, occurrence, "{site}/{occurrence}");
+                    }
+                    let _ = fs::remove_dir_all(&dir);
+                }
+            }
+            // Past the last write site the export completes untouched.
+            let dir = tmpdir("atomic-clean");
+            let injector = CrashInjector::new(CrashPlan::at(CrashSite::MidRename, 99));
+            export_rad_with(&ds, &power, &dir, Some(&injector)).unwrap();
+            assert!(super::bundle_is_complete(&dir));
+            let _ = fs::remove_dir_all(&dir);
         }
-        // Past the last write site the export completes untouched.
-        let dir = tmpdir("atomic-clean");
-        let injector = CrashInjector::new(CrashPlan::at(CrashSite::MidRename, 99));
-        export_rad_with(&ds, &PowerDataset::new(), &dir, Some(&injector)).unwrap();
-        assert!(super::bundle_is_complete(&dir));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -797,11 +797,7 @@ pub fn atomic_write_file(
     bytes: &[u8],
     injector: Option<&CrashInjector>,
 ) -> Result<(), RadError> {
-    let file_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or_else(|| RadError::Store(format!("atomic write needs a file name: {path:?}")))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    let tmp = temp_path(path)?;
 
     if let Some(err) = injector.and_then(|i| i.trip(CrashSite::MidCompaction)) {
         // Half the snapshot reaches the temp file; the real path is
@@ -845,11 +841,7 @@ pub fn atomic_write_stream<F>(
 where
     F: FnOnce(&mut dyn Write) -> std::io::Result<()>,
 {
-    let file_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or_else(|| RadError::Store(format!("atomic write needs a file name: {path:?}")))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    let tmp = temp_path(path)?;
 
     if let Some(err) = injector.and_then(|i| i.trip(CrashSite::MidCompaction)) {
         // A torn temp file; the real path is untouched. Recovery must
@@ -858,21 +850,47 @@ where
         return Err(err);
     }
 
-    let file = File::create(&tmp).map_err(|e| io_err("creating temp file", e))?;
-    let mut buffered = std::io::BufWriter::new(file);
-    write(&mut buffered).map_err(|e| io_err("streaming temp file", e))?;
-    let file = buffered
-        .into_inner()
-        .map_err(|e| io_err("flushing temp file", e.into_error()))?;
-    file.sync_data()
-        .map_err(|e| io_err("syncing temp file", e))?;
-    drop(file);
+    stage_stream(&tmp, write)?;
 
     if let Some(err) = injector.and_then(|i| i.trip(CrashSite::MidRename)) {
         return Err(err);
     }
 
     fs::rename(&tmp, path).map_err(|e| io_err("renaming temp file into place", e))
+}
+
+/// The temp file an atomic write of `path` stages into: the same
+/// directory, with `.tmp` appended to the file name.
+pub(crate) fn temp_path(path: &Path) -> Result<PathBuf, RadError> {
+    let file_name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .ok_or_else(|| RadError::Store(format!("atomic write needs a file name: {path:?}")))?;
+    Ok(path.with_file_name(format!("{file_name}.tmp")))
+}
+
+/// The staging half of [`atomic_write_stream`]: creates `tmp`, streams
+/// `write` into it through a buffered writer, and fsyncs it. The
+/// caller renames it into place.
+pub(crate) fn stage_stream<F>(tmp: &Path, write: F) -> Result<(), RadError>
+where
+    F: FnOnce(&mut dyn Write) -> std::io::Result<()>,
+{
+    let file = File::create(tmp).map_err(|e| io_err("creating temp file", e))?;
+    let mut buffered = std::io::BufWriter::new(file);
+    write(&mut buffered).map_err(|e| io_err("streaming temp file", e))?;
+    let file = buffered
+        .into_inner()
+        .map_err(|e| io_err("flushing temp file", e.into_error()))?;
+    file.sync_data().map_err(|e| io_err("syncing temp file", e))
+}
+
+/// Fsyncs the directory `dir`, so renames into it survive a power
+/// loss and not just a process crash.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), RadError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("syncing directory", e))
 }
 
 impl CrashSite {

@@ -1,8 +1,105 @@
 //! Property tests on the document store and the CSV codec.
 
 use proptest::prelude::*;
+use rad_core::{
+    Command, CommandType, DeviceId, Label, ProcedureKind, RunId, SimDuration, SimInstant,
+    TraceBatch, TraceId, TraceMode, TraceObject, Value,
+};
+use rad_power::{PowerBlock, PowerSample};
 use rad_store::{csv, DocumentStore, Filter};
 use serde_json::json;
+
+/// Bit patterns an encoder could mistake for "no value yet": zeros of
+/// both signs, subnormals, infinities, NaN payloads, and all-ones.
+const EDGE_BITS: [u64; 12] = [
+    0,
+    1 << 63,
+    1,
+    0x000f_ffff_ffff_ffff,
+    0x8000_0000_0000_0001,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x7ff8_0000_0000_0000,
+    0x7ff0_0000_0000_0001,
+    0x7ff4_dead_beef_0000,
+    u64::MAX,
+    0x3ff0_0000_0000_0000,
+];
+
+/// Enough ticks for the buffer to flush mid-file: wide random values
+/// format to hundreds of bytes each.
+const MAX_TICKS: usize = 24;
+
+/// One lane's bits over `MAX_TICKS` ticks, drawn from a palette of
+/// one to three values so that runs of one repeated value are common.
+fn lane_bits() -> impl Strategy<Value = Vec<u64>> {
+    let bits = prop_oneof![
+        (0usize..EDGE_BITS.len()).prop_map(|i| EDGE_BITS[i]),
+        any::<u64>(),
+        (-1000.0f64..1000.0).prop_map(f64::to_bits),
+    ];
+    (
+        proptest::collection::vec(bits, 1..4),
+        proptest::collection::vec(0usize..3, MAX_TICKS),
+    )
+        .prop_map(|(palette, picks)| picks.iter().map(|&i| palette[i % palette.len()]).collect())
+}
+
+/// Field text with everything CSV and JSON must escape: commas,
+/// quotes, newlines, backslashes, and non-ASCII characters.
+const NASTY: &str = "[a-c ,\"\n\\\'é中😀]{0,10}";
+
+fn value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Unit),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        (-1e6f64..1e6).prop_map(Value::Float),
+        NASTY.prop_map(Value::Str),
+        proptest::collection::vec(NASTY.prop_map(Value::Str), 0..3).prop_map(Value::List),
+    ]
+}
+
+fn trace() -> impl Strategy<Value = TraceObject> {
+    let command_type = prop_oneof![
+        Just(CommandType::Arm),
+        Just(CommandType::Mvng),
+        Just(CommandType::TecanGetStatus),
+        Just(CommandType::InitIka),
+        Just(CommandType::StartDosing),
+    ];
+    let mode = prop_oneof![
+        Just(TraceMode::Direct),
+        Just(TraceMode::Remote),
+        Just(TraceMode::Cloud),
+    ];
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        command_type,
+        mode,
+        proptest::collection::vec(value(), 0..4),
+        (value(), proptest::option::of(NASTY)),
+        proptest::option::of(any::<u32>()),
+    )
+        .prop_map(|((id, at, took), ct, mode, args, (ret, exception), run)| {
+            let mut builder = TraceObject::builder(
+                TraceId(id),
+                SimInstant::from_micros(at),
+                DeviceId::primary(ct.device()),
+                Command::new(ct, args),
+            )
+            .mode(mode)
+            .return_value(ret)
+            .response_time(SimDuration::from_micros(took));
+            if let Some(exception) = exception {
+                builder = builder.exception(exception);
+            }
+            if let Some(run) = run {
+                builder = builder.run(ProcedureKind::JoystickMovements, RunId(run), Label::Benign);
+            }
+            builder.build()
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -83,5 +180,38 @@ proptest! {
         let both = store.count("t", &a.clone().and(b.clone()));
         prop_assert!(both <= store.count("t", &a));
         prop_assert!(both <= store.count("t", &b));
+    }
+
+    /// The buffered, lane-cached power encoder writes exactly the
+    /// reference encoder's bytes over any lane values, including a
+    /// first row equal to any would-be cache sentinel.
+    #[test]
+    fn buffered_power_csv_matches_the_reference(
+        ticks in 0usize..=MAX_TICKS,
+        lanes in proptest::collection::vec(lane_bits(), PowerSample::FIELD_COUNT),
+    ) {
+        let lanes = lanes
+            .iter()
+            .map(|lane| lane[..ticks].iter().map(|&b| f64::from_bits(b)).collect())
+            .collect();
+        let block = PowerBlock::from_lanes(lanes).unwrap();
+        let mut streamed = Vec::new();
+        csv::write_power_csv(&mut streamed, &block).unwrap();
+        prop_assert_eq!(
+            String::from_utf8(streamed).unwrap(),
+            csv::power_to_csv(&block.to_samples())
+        );
+    }
+
+    /// The in-place trace row encoder writes exactly the reference
+    /// encoder's bytes, whatever the args, return values and
+    /// exceptions contain.
+    #[test]
+    fn buffered_traces_csv_matches_the_reference(
+        traces in proptest::collection::vec(trace(), 0..40),
+    ) {
+        let mut streamed = Vec::new();
+        csv::write_traces_csv(&mut streamed, &TraceBatch::from_traces(&traces)).unwrap();
+        prop_assert_eq!(String::from_utf8(streamed).unwrap(), csv::traces_to_csv(&traces));
     }
 }

@@ -639,7 +639,7 @@ fn run_in_process(
         builder.build()
     };
 
-    report.traces = dataset.command().traces().len() as u64;
+    report.traces = dataset.command().len() as u64;
     report.gaps = dataset.command().gaps().len() as u64;
     report.supervised_runs = dataset.supervised_runs().len() as u64;
 
