@@ -528,6 +528,47 @@ impl TraceBatch {
         }
         out
     }
+
+    /// Copies the contiguous rows `range` into a new batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> TraceBatch {
+        self.select(&range.collect::<Vec<_>>())
+    }
+
+    /// The first row at which `self` and `other` differ, comparing
+    /// their common rows column by column without materializing any
+    /// row; `None` when every common row is equal. Rows past the
+    /// shorter batch are not compared.
+    pub fn first_difference(&self, other: &TraceBatch) -> Option<usize> {
+        fn first<T: PartialEq>(a: &[T], b: &[T], end: usize) -> usize {
+            a[..end]
+                .iter()
+                .zip(&b[..end])
+                .position(|(x, y)| x != y)
+                .unwrap_or(end)
+        }
+        let rows = self.len().min(other.len());
+        let mut end = first(&self.ids, &other.ids, rows);
+        end = first(&self.timestamps_us, &other.timestamps_us, end);
+        end = first(&self.devices, &other.devices, end);
+        end = first(&self.command_tokens, &other.command_tokens, end);
+        end = first(&self.modes, &other.modes, end);
+        end = first(&self.return_values, &other.return_values, end);
+        end = first(&self.response_times_us, &other.response_times_us, end);
+        end = first(&self.procedures, &other.procedures, end);
+        end = first(&self.run_ids, &other.run_ids, end);
+        end = first(&self.labels, &other.labels, end);
+        // The argument arena and the sparse exception column, row by row.
+        end = (0..end)
+            .find(|&i| {
+                self.args_of(i) != other.args_of(i) || self.exception_of(i) != other.exception_of(i)
+            })
+            .unwrap_or(end);
+        (end < rows).then_some(end)
+    }
 }
 
 /// Raw columns for [`TraceBatch::from_columns`] — the decode-side
@@ -779,5 +820,59 @@ mod tests {
                 batch.get(i).command_type()
             );
         }
+    }
+
+    #[test]
+    fn first_difference_names_the_earliest_differing_row() {
+        let batch = TraceBatch::from_traces(&samples());
+        assert_eq!(batch.first_difference(&batch), None);
+        assert_eq!(batch.first_difference(&batch.slice(0..2)), None, "prefix");
+        assert_eq!(batch.slice(1..1).first_difference(&batch), None, "empty");
+
+        let row = |id: u64, args: Vec<Value>, exception: Option<&str>| {
+            let mut b = TraceObject::builder(
+                TraceId(id),
+                SimInstant::from_micros(id),
+                DeviceId::primary(CommandType::Arm.device()),
+                Command::new(CommandType::Arm, args),
+            );
+            if let Some(e) = exception {
+                b = b.exception(e);
+            }
+            b.build()
+        };
+        let base = TraceBatch::from_traces(&[
+            row(0, vec![], None),
+            row(1, vec![Value::Int(1)], Some("boom")),
+            row(2, vec![], None),
+            row(3, vec![], None),
+        ]);
+        let differs_at = |changed: &[(usize, TraceObject)]| {
+            let mut rows = base.to_traces();
+            for (i, t) in changed {
+                rows[*i] = t.clone();
+            }
+            TraceBatch::from_traces(&rows).first_difference(&base)
+        };
+        // A dense column, the argument arena, and the sparse exception
+        // column, gained and lost.
+        assert_eq!(differs_at(&[(2, row(9, vec![], None))]), Some(2));
+        assert_eq!(
+            differs_at(&[(1, row(1, vec![Value::Int(2)], Some("boom")))]),
+            Some(1)
+        );
+        assert_eq!(differs_at(&[(3, row(3, vec![], Some("late")))]), Some(3));
+        assert_eq!(
+            differs_at(&[(1, row(1, vec![Value::Int(1)], None))]),
+            Some(1)
+        );
+        // The earliest of several differences wins.
+        assert_eq!(
+            differs_at(&[
+                (3, row(3, vec![Value::Unit], None)),
+                (2, row(2, vec![], Some("x")))
+            ]),
+            Some(2)
+        );
     }
 }

@@ -2104,9 +2104,15 @@ mod tests {
         client.request(WireRequest::Bye);
         let report = server.drain().unwrap();
         assert_eq!(report.tenants[0].rows_flushed, 2);
-        // A fresh process recovers the flushed traces from disk.
-        let (store, _) = DurableStore::open(&dir.join("alice"), DurableOptions::default()).unwrap();
-        assert_eq!(store.count("traces", &rad_store::Filter::all()), 2);
+        // Drain sealed the tenant's rows: a fresh process finds them in
+        // segments, with nothing left to replay.
+        let (store, recovery) =
+            DurableStore::open(&dir.join("alice"), DurableOptions::default()).unwrap();
+        assert_eq!(recovery.records_replayed, 0);
+        assert_eq!(store.segments().unwrap().trace_rows(), 2);
+        let rows = store.read_traces().unwrap();
+        let commands: Vec<CommandType> = rows.iter().map(|r| r.command_type()).collect();
+        assert_eq!(commands, [CommandType::InitC9, CommandType::Home]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

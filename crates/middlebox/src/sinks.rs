@@ -5,9 +5,10 @@
 //! .csv file" (Fig. 3). These adapters put those destinations on the
 //! composable sink plane, so the tracer's fan-out is just a stack —
 //! `mirror.tee(durable)` — instead of bespoke per-destination fields.
-//! The document shapes are exactly what the bespoke paths emitted, so
-//! a mirror populated through a sink stack is byte-identical to one
-//! populated record-by-record.
+//! The mirror's document shapes are exactly what the bespoke paths
+//! emitted, so a mirror populated through a sink stack is
+//! byte-identical to one populated record-by-record. The durable sink
+//! keeps whole rows in the store's columnar trace stream instead.
 
 use std::sync::Arc;
 
@@ -77,11 +78,14 @@ impl TraceSink for MirrorSink {
     }
 }
 
-/// Writes every record through a [`DurableStore`]'s write-ahead log —
-/// one WAL frame per accepted batch — so traces survive a process
-/// crash. Unlike [`MirrorSink`], failures *are* reported; the caller
-/// decides whether to degrade gracefully (the tracer counts them) or
-/// abort.
+/// Writes every record through a [`DurableStore`]'s write-ahead log so
+/// traces survive a process crash. Each accepted batch is appended to
+/// the store's trace stream — whole rows, arguments, return value, run
+/// and label included — as one columnar WAL frame; the store's next
+/// checkpoint seals it into segment files. Gaps stay `"gaps"`
+/// documents. Unlike [`MirrorSink`], failures *are* reported; the
+/// caller decides whether to degrade gracefully (the tracer counts
+/// them) or abort.
 #[derive(Debug, Clone)]
 pub struct DurableSink {
     store: Arc<DurableStore>,
@@ -101,8 +105,7 @@ impl DurableSink {
 
 impl TraceSink for DurableSink {
     fn accept(&mut self, batch: &TraceBatch) -> Result<(), RadError> {
-        let docs: Vec<Json> = batch.iter().map(|row| trace_doc(&row)).collect();
-        self.store.insert_batch("traces", docs).map(|_| ())
+        self.store.append_traces(batch)
     }
 
     fn accept_gap(&mut self, gap: &TraceGap) -> Result<(), RadError> {
@@ -173,7 +176,7 @@ mod tests {
         }
         let (store, report) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.records_replayed, 1, "one WAL frame for the batch");
-        assert_eq!(store.count("traces", &Filter::all()), 100);
+        assert_eq!(store.read_traces().unwrap(), batch(100));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -418,7 +418,7 @@ mod tests {
         use rad_store::{DurableOptions, Filter};
         let dir = std::env::temp_dir().join(format!("rad-tracer-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
+        let recorded = {
             let (durable, _) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
             let mut tracer = Tracer::new().with_durable_sink(Arc::new(durable));
             record_one(&mut tracer, CommandType::Arm);
@@ -431,11 +431,12 @@ mod tests {
             );
             assert_eq!(tracer.durable_errors(), 0);
             tracer.sync_durable().unwrap();
-        }
+            tracer.batch().clone()
+        };
         // A fresh process recovers every record from the log.
         let (durable, report) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.records_replayed, 3);
-        assert_eq!(durable.count("traces", &Filter::all()), 2);
+        assert_eq!(durable.read_traces().unwrap(), recorded);
         assert_eq!(durable.count("gaps", &Filter::all()), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -475,7 +476,7 @@ mod tests {
         record_one(&mut tracer, CommandType::Arm);
         record_one(&mut tracer, CommandType::Mvng);
         assert_eq!(mirror.count("traces", &Filter::all()), 2);
-        assert_eq!(durable.count("traces", &Filter::all()), 2);
+        assert_eq!(&durable.read_traces().unwrap(), tracer.batch());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

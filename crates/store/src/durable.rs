@@ -1,45 +1,96 @@
-//! A crash-safe layer over [`DocumentStore`]: write-ahead logging,
-//! checkpoint snapshots, and recovery.
+//! A crash-safe store: small JSON documents plus one typed,
+//! append-only trace stream, write-ahead logged and checkpointed.
 //!
-//! Every mutation is appended to the [`Wal`] *before* it is applied to
-//! the in-memory store, under one lock, so the log is always a complete
-//! history of the applied state. [`DurableStore::open`] rebuilds the
-//! store from the newest checkpoint plus the WAL suffix; a process
-//! killed at any point recovers every synced record and nothing that
-//! was never written.
+//! Every mutation is appended to the [`Wal`] *before* it is applied in
+//! memory, under one lock, so the log is always a complete history of
+//! the applied state. The log carries two payload kinds, told apart by
+//! their first byte:
+//!
+//! - **JSON ops** (first byte `{`) insert or delete documents of the
+//!   in-memory [`DocumentStore`]: run metadata, gaps, journals,
+//!   cursors.
+//! - **Trace frames** (first byte `T`) append rows to the trace
+//!   stream: the stream position of the frame's first row (`u64` LE),
+//!   then the rows in the segment encoding — the bytes
+//!   [`trace_segment_bytes`](crate::segment::trace_segment_bytes)
+//!   produces and a sealed segment file holds, decoded by the same
+//!   [`SegmentReader`]. A delta too large for one frame splits into
+//!   consecutive frames.
+//!
+//! [`DurableStore::checkpoint`] is a seal plus a small manifest: the
+//! rows appended since the last checkpoint are sealed into segment
+//! files, and `checkpoint.json` names every sealed file with its row
+//! count, next to the documents. The WAL then restarts empty. No
+//! durable path ever renders a trace as JSON.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! dir/
-//! ├── checkpoint.json       # atomic snapshot: next_seq + next_id + docs
-//! ├── wal-000007.log        # segments past the checkpoint
+//! ├── checkpoint.json          # next_seq, next_id, documents,
+//! │                            # sealed trace files with row counts
+//! ├── segments/
+//! │   ├── trace-all-000000.seg # sealed rows, in stream order
+//! │   └── trace-all-000001.seg
+//! ├── wal-000007.log           # records past the checkpoint
 //! └── wal-000008.log
 //! ```
 //!
-//! A checkpoint is written with [`atomic_write_file`] (temp + fsync +
-//! rename), then the WAL rotates and retires its old segments. Replay
-//! filters WAL records below the checkpoint's `next_seq`, so a crash
-//! anywhere in that sequence double-applies nothing. A checkpoint that
-//! fails validation on open is renamed `checkpoint.json.quarantined`
-//! and recovery continues from the WAL alone — damage is reported, not
-//! fatal.
+//! # Recovery keeps the stream a prefix
+//!
+//! [`DurableStore::open`] loads the checkpoint, then the segments it
+//! names, in order, then replays the WAL records past the checkpoint
+//! in `seq` order. The recovered trace stream is always an exact
+//! prefix of what was appended — rows are never shifted, invented or
+//! reordered:
+//!
+//! - A named segment that is missing or fails its CRC ends the sealed
+//!   prefix; it and every named segment after it are quarantined.
+//! - A trace frame is applied only when its position equals the
+//!   stream's current end; any other frame is skipped.
+//! - `.seg` files the checkpoint does not name are the seals of a
+//!   checkpoint that died before committing. Their rows are still in
+//!   the WAL, so they are renamed `*.uncommitted` and never read.
+//! - A checkpoint that fails validation is renamed
+//!   `checkpoint.json.quarantined` and recovery continues from the WAL
+//!   alone.
+//!
+//! Each of these is counted in the [`RecoveryReport`], with the rows
+//! it cost: damage is reported, never fatal.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use rad_core::{spec, RadError};
+use rad_core::{spec, RadError, TraceBatch};
 use serde_json::{json, Value as Json};
 
 use crate::document::{DocumentId, DocumentStore, Filter};
-use crate::segment::{SegmentOptions, SegmentSet, SegmentWriter};
-use crate::wal::{atomic_write_file, CrashInjector, CrashPlan, RecoveryReport, Wal, WalOptions};
+use crate::segment::{
+    quarantine_file, segment_file_names, write_trace_segment, SegmentKind, SegmentOptions,
+    SegmentReader, SegmentSet, SegmentWriter,
+};
+use crate::wal::{
+    atomic_write_file, sync_dir, CrashInjector, CrashPlan, RecoveryReport, Wal, WalOptions,
+    MAX_RECORD,
+};
 
 const CHECKPOINT_FILE: &str = "checkpoint.json";
 const SEGMENTS_DIR: &str = "segments";
-const SEGMENTS_COLLECTION: &str = "segments";
+
+/// First payload byte of a trace frame. JSON ops start with `{`.
+const TRACE_FRAME: u8 = b'T';
+
+/// Tag byte plus the position of the frame's first row.
+const FRAME_HEADER: usize = 9;
+
+/// Rows per trace frame. A delta splits into frames of this many rows,
+/// which keeps a frame under the WAL's record cap as long as its rows
+/// average under 1 KiB encoded; a frame that would still exceed the cap
+/// halves until it fits.
+const FRAME_ROWS: usize = MAX_RECORD as usize / 1024;
 
 /// Tuning knobs for a [`DurableStore`].
 #[derive(Debug, Clone, Default)]
@@ -53,90 +104,131 @@ pub struct DurableOptions {
     pub crash_plan: Option<CrashPlan>,
 }
 
-/// A [`DocumentStore`] whose every mutation survives a crash.
+/// A document store plus an append-only trace stream, every mutation
+/// of which survives a crash.
 ///
-/// Thread-safe: reads go straight to the underlying store's `RwLock`;
-/// mutations serialize on an internal mutex so the WAL order always
-/// matches the applied order.
+/// Thread-safe: document reads go straight to the underlying store's
+/// `RwLock`; mutations serialize on an internal mutex so the WAL order
+/// always matches the applied order.
 ///
 /// # Examples
 ///
 /// ```no_run
+/// use rad_core::{Command, CommandType, DeviceId, SimInstant, TraceBatch, TraceId, TraceObject};
 /// use rad_store::{DurableOptions, DurableStore};
 /// use serde_json::json;
 ///
 /// let dir = std::path::Path::new("/tmp/rad-durable-doc");
 /// let (store, _report) = DurableStore::open(dir, DurableOptions::default())?;
-/// store.insert("traces", json!({"command": "ARM"}))?;
+/// let trace = TraceObject::builder(
+///     TraceId(0),
+///     SimInstant::EPOCH,
+///     DeviceId::primary(CommandType::Arm.device()),
+///     Command::nullary(CommandType::Arm),
+/// )
+/// .build();
+/// store.append_traces(&TraceBatch::from_traces(&[trace]))?;
+/// store.insert("runs", json!({"run_id": 0}))?;
 /// store.sync()?;
 /// drop(store);
-/// // A reopen recovers the insert from the log.
+/// // A reopen recovers both from the log.
 /// let (store, report) = DurableStore::open(dir, DurableOptions::default())?;
+/// assert_eq!(store.trace_rows(), 1);
 /// assert_eq!(store.store().len(), 1);
-/// assert_eq!(report.records_replayed, 1);
+/// assert_eq!(report.records_replayed, 2);
 /// # Ok::<(), rad_core::RadError>(())
 /// ```
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
     store: DocumentStore,
-    wal: Mutex<Wal>,
+    log: Mutex<Log>,
     injector: Option<CrashInjector>,
     checkpoint_every_ops: Option<u64>,
     ops_since_checkpoint: AtomicU64,
 }
 
+/// The write path's state, under one lock.
+#[derive(Debug)]
+struct Log {
+    wal: Wal,
+    stream: TraceStream,
+}
+
+/// The trace stream: sealed segment files, then the rows appended
+/// since the last checkpoint.
+#[derive(Debug, Default)]
+struct TraceStream {
+    /// Sealed files in stream order, with their row counts.
+    sealed: Vec<(String, u64)>,
+    /// Rows not yet sealed; their only durable copy is the WAL.
+    unsealed: TraceBatch,
+}
+
+impl TraceStream {
+    fn len(&self) -> u64 {
+        let sealed: u64 = self.sealed.iter().map(|(_, rows)| rows).sum();
+        sealed + self.unsealed.len() as u64
+    }
+}
+
 impl DurableStore {
-    /// Opens (or creates) a durable store in `dir`, recovering the
-    /// newest checkpoint and replaying the WAL suffix over it.
+    /// Opens (or creates) a durable store in `dir`: loads the newest
+    /// checkpoint and the segments it names, then replays the WAL
+    /// suffix over them under the prefix rule (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`RadError::Store`] on filesystem failures. Corrupt
-    /// checkpoints and damaged WAL segments are quarantined and
+    /// Returns [`RadError::Store`] on filesystem failures and on a WAL
+    /// record of unknown kind. Corrupt checkpoints, damaged WAL
+    /// segments and damaged sealed segments are quarantined and
     /// reported, never fatal.
     pub fn open(dir: &Path, options: DurableOptions) -> Result<(Self, RecoveryReport), RadError> {
         fs::create_dir_all(dir)
             .map_err(|e| RadError::Store(format!("creating durable dir: {e}")))?;
         let injector = options.crash_plan.map(CrashInjector::new);
-        let (wal, records, mut report) = Wal::open(dir, options.wal, injector.clone())?;
+        let (mut wal, records, mut report) = Wal::open(dir, options.wal, injector.clone())?;
 
-        let mut wal = wal;
         let store = DocumentStore::new();
+        let mut named = Vec::new();
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
         if checkpoint_path.exists() {
             match Self::load_checkpoint(&checkpoint_path, &store) {
-                Ok(next_seq) => {
+                Ok((next_seq, sealed)) => {
                     report.checkpoint_next_seq = next_seq;
                     // The checkpoint absorbed (and retired) seqs below
                     // next_seq; fresh appends must still sort after them.
                     wal.ensure_next_seq(next_seq);
+                    named = sealed;
                 }
-                Err(reason) => {
+                Err(_reason) => {
                     // Same policy as a damaged WAL segment: set it
                     // aside, report it, recover from what remains.
                     let quarantine = dir.join(format!("{CHECKPOINT_FILE}.quarantined"));
                     fs::rename(&checkpoint_path, &quarantine)
                         .map_err(|e| RadError::Store(format!("quarantining checkpoint: {e}")))?;
                     report.checkpoint_quarantined = true;
-                    let _ = reason;
                 }
             }
         }
 
-        for record in &records {
+        let segments_dir = dir.join(SEGMENTS_DIR);
+        set_aside_uncommitted(&segments_dir, &named, &mut report)?;
+        let mut stream = load_sealed(&segments_dir, named, &mut report)?;
+        for record in records {
             if record.seq < report.checkpoint_next_seq {
                 continue; // already folded into the checkpoint
             }
-            Self::apply_logged(&store, &record.payload)?;
-            report.records_replayed += 1;
+            if Self::apply_logged(&store, &mut stream, record.payload, &mut report)? {
+                report.records_replayed += 1;
+            }
         }
 
         Ok((
             DurableStore {
                 dir: dir.to_path_buf(),
                 store,
-                wal: Mutex::new(wal),
+                log: Mutex::new(Log { wal, stream }),
                 injector,
                 checkpoint_every_ops: options.checkpoint_every_ops,
                 ops_since_checkpoint: AtomicU64::new(0),
@@ -145,9 +237,13 @@ impl DurableStore {
         ))
     }
 
-    /// Parses and applies a checkpoint file, returning its `next_seq`.
-    /// Any structural problem is a `String` reason for quarantine.
-    fn load_checkpoint(path: &Path, store: &DocumentStore) -> Result<u64, String> {
+    /// Parses and applies a checkpoint file, returning its `next_seq`
+    /// and the sealed trace files it names. Any structural problem is
+    /// a `String` reason for quarantine.
+    fn load_checkpoint(
+        path: &Path,
+        store: &DocumentStore,
+    ) -> Result<(u64, Vec<(String, u64)>), String> {
         let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
         let value: Json =
             serde_json::from_slice(&bytes).map_err(|e| format!("invalid json: {e}"))?;
@@ -163,6 +259,24 @@ impl DurableStore {
             .get("collections")
             .and_then(Json::as_object)
             .ok_or("missing collections")?;
+        let sealed = value
+            .get("traces")
+            .and_then(Json::as_array)
+            .ok_or("missing traces")?
+            .iter()
+            .map(|entry| {
+                // A bare `.seg` file name: recovery may rename what an
+                // entry names, so it must not reach outside `segments/`.
+                let file = entry
+                    .get("file")
+                    .and_then(Json::as_str)
+                    .filter(|f| f.ends_with(".seg") && !f.contains(['/', '\\']));
+                let rows = entry.get("rows").and_then(Json::as_u64);
+                file.zip(rows)
+                    .map(|(file, rows)| (file.to_owned(), rows))
+                    .ok_or("bad sealed trace entry")
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         for (name, docs) in collections {
             let docs = docs.as_array().ok_or("collection is not an array")?;
             for pair in docs {
@@ -178,11 +292,48 @@ impl DurableStore {
             }
         }
         store.set_next_id(next_id);
-        Ok(next_seq)
+        Ok((next_seq, sealed))
     }
 
-    /// Applies one logged operation during replay.
-    fn apply_logged(store: &DocumentStore, payload: &[u8]) -> Result<(), RadError> {
+    /// Applies one logged record during replay. Returns whether it was
+    /// applied: a trace frame off the stream's end is skipped and
+    /// counted instead.
+    fn apply_logged(
+        store: &DocumentStore,
+        stream: &mut TraceStream,
+        mut payload: Vec<u8>,
+        report: &mut RecoveryReport,
+    ) -> Result<bool, RadError> {
+        match payload.first().copied() {
+            Some(b'{') => Self::apply_json(store, &payload).map(|()| true),
+            Some(TRACE_FRAME) => {
+                let first = payload
+                    .get(1..FRAME_HEADER)
+                    .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+                    .ok_or_else(|| RadError::Store("trace frame shorter than its header".into()))?;
+                payload.drain(..FRAME_HEADER);
+                let rows = SegmentReader::from_bytes("wal trace frame", payload)?.read_batch()?;
+                let end = stream.len();
+                if first == end {
+                    stream.unsealed.append_owned(rows);
+                    Ok(true)
+                } else {
+                    report.trace_frames_skipped += 1;
+                    report.trace_rows_dropped += first
+                        .saturating_add(rows.len() as u64)
+                        .saturating_sub(end.max(first));
+                    Ok(false)
+                }
+            }
+            Some(tag) => Err(RadError::Store(format!(
+                "unknown logged record tag {tag:#04x}"
+            ))),
+            None => Err(RadError::Store("empty logged record".into())),
+        }
+    }
+
+    /// Applies one logged JSON document operation.
+    fn apply_json(store: &DocumentStore, payload: &[u8]) -> Result<(), RadError> {
         let op: Json = serde_json::from_slice(payload)
             .map_err(|e| RadError::Store(format!("wal payload is not valid json: {e}")))?;
         let kind = op.get("op").and_then(Json::as_str).unwrap_or("");
@@ -247,22 +398,20 @@ impl DurableStore {
                 "documents must be JSON objects, got {doc}"
             )));
         }
-        let mut wal = self.wal.lock();
+        let mut log = self.log.lock();
         let id = self.store.next_id();
         let op = json!({"op": "insert", "c": collection, "id": id, "doc": doc});
-        wal.append(op.to_string().as_bytes())?;
+        log.wal.append(op.to_string().as_bytes())?;
         self.store.insert_with_id(collection, DocumentId(id), doc);
         self.store.set_next_id(id + 1);
-        drop(wal);
+        drop(log);
         self.after_op()?;
         Ok(DocumentId(id))
     }
 
     /// Inserts a whole batch of documents durably with **one** WAL
-    /// frame. This is the sink-facing write path: a campaign streaming
-    /// thousand-row batches pays one append + one (amortized) fsync per
-    /// batch instead of per document, and replay applies the batch
-    /// atomically — either every document of a frame recovers or none.
+    /// frame, so replay applies the batch atomically — either every
+    /// document of a frame recovers or none.
     ///
     /// # Errors
     ///
@@ -282,10 +431,10 @@ impl DurableStore {
                 "documents must be JSON objects, got {bad}"
             )));
         }
-        let mut wal = self.wal.lock();
+        let mut log = self.log.lock();
         let first_id = self.store.next_id();
         let op = json!({"op": "insert_batch", "c": collection, "first_id": first_id, "docs": docs});
-        wal.append(op.to_string().as_bytes())?;
+        log.wal.append(op.to_string().as_bytes())?;
         let n = docs.len() as u64;
         let mut ids = Vec::with_capacity(docs.len());
         for (i, doc) in docs.into_iter().enumerate() {
@@ -294,7 +443,7 @@ impl DurableStore {
             ids.push(id);
         }
         self.store.set_next_id(first_id + n);
-        drop(wal);
+        drop(log);
         self.after_op()?;
         Ok(ids)
     }
@@ -307,20 +456,81 @@ impl DurableStore {
     /// Returns [`RadError::Store`] on filesystem failure or an
     /// injected crash.
     pub fn delete(&self, collection: &str, filter: &Filter) -> Result<usize, RadError> {
-        let mut wal = self.wal.lock();
+        let mut log = self.log.lock();
         let victims = self.store.find_ids(collection, filter);
         if victims.is_empty() {
             return Ok(0);
         }
         let ids: Vec<u64> = victims.iter().map(|d| d.0).collect();
         let op = json!({"op": "delete", "c": collection, "ids": ids});
-        wal.append(op.to_string().as_bytes())?;
+        log.wal.append(op.to_string().as_bytes())?;
         for id in &victims {
             self.store.remove(collection, *id);
         }
-        drop(wal);
+        drop(log);
         self.after_op()?;
         Ok(victims.len())
+    }
+
+    /// Appends `rows` to the trace stream, durably. The rows are
+    /// logged as trace frames in the segment encoding — one frame per
+    /// 16,384 rows, fewer rows where that would pass the WAL's record
+    /// cap — before they join the stream. An empty batch logs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RadError::Store`] on filesystem failure or an injected
+    /// crash. The rows of frames logged before the failure stay
+    /// appended; the rest are not.
+    pub fn append_traces(&self, rows: &TraceBatch) -> Result<(), RadError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let mut log = self.log.lock();
+        let mut start = 0;
+        while start < rows.len() {
+            let mut len = FRAME_ROWS.min(rows.len() - start);
+            let (piece, payload) = loop {
+                let piece = if len == rows.len() {
+                    rows.clone()
+                } else {
+                    rows.slice(start..start + len)
+                };
+                let payload = trace_frame(log.stream.len(), &piece);
+                if payload.len() <= MAX_RECORD as usize || len == 1 {
+                    break (piece, payload);
+                }
+                len = len.div_ceil(2);
+            };
+            log.wal.append(&payload)?;
+            log.stream.unsealed.append_owned(piece);
+            start += len;
+        }
+        drop(log);
+        self.after_op()
+    }
+
+    /// Rows in the trace stream, sealed and unsealed.
+    pub fn trace_rows(&self) -> u64 {
+        self.log.lock().stream.len()
+    }
+
+    /// Reads the whole trace stream: the sealed segments in order,
+    /// then the rows appended since the last checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RadError::SegmentCorrupt`] when a sealed segment has
+    /// been damaged since the store opened, and [`RadError::Store`] on
+    /// I/O failure.
+    pub fn read_traces(&self) -> Result<TraceBatch, RadError> {
+        let log = self.log.lock();
+        let mut out = TraceBatch::with_capacity(log.stream.len() as usize);
+        for (name, _) in &log.stream.sealed {
+            out.append_owned(SegmentReader::open(&self.segments_dir().join(name))?.read_batch()?);
+        }
+        out.append(&log.stream.unsealed);
+        Ok(out)
     }
 
     fn after_op(&self) -> Result<(), RadError> {
@@ -339,169 +549,104 @@ impl DurableStore {
     ///
     /// Returns [`RadError::Store`] on fsync failure or a poisoned log.
     pub fn sync(&self) -> Result<(), RadError> {
-        self.wal.lock().sync()
+        self.log.lock().wal.sync()
     }
 
-    /// Compacts the log: snapshots the full store into
-    /// `checkpoint.json` atomically, then rotates the WAL and retires
-    /// the segments the snapshot covers.
+    /// Checkpoints the store: a seal plus a small manifest.
+    ///
+    /// 1. The WAL is synced.
+    /// 2. The trace rows not yet sealed are sealed into segment files
+    ///    through [`SegmentWriter`], which fsyncs `segments/`.
+    /// 3. `checkpoint.json` — `next_seq`, `next_id`, the documents, and
+    ///    every sealed trace file with its row count — is written
+    ///    atomically.
+    /// 4. The store directory is fsynced, then the WAL restarts and
+    ///    retires the segments the checkpoint covers.
+    ///
+    /// A crash before step 3 completes leaves the previous checkpoint
+    /// in force: any new seals are unnamed, and their rows are still
+    /// in the WAL.
     ///
     /// # Errors
     ///
     /// Returns [`RadError::Store`] on filesystem failure or an
     /// injected crash ([`CrashSite::MidCompaction`] /
-    /// [`CrashSite::MidRename`] fire here).
+    /// [`CrashSite::MidRename`] fire for each sealed file and for the
+    /// manifest).
     ///
     /// [`CrashSite::MidCompaction`]: crate::wal::CrashSite::MidCompaction
     /// [`CrashSite::MidRename`]: crate::wal::CrashSite::MidRename
     pub fn checkpoint(&self) -> Result<(), RadError> {
-        let mut wal = self.wal.lock();
+        let mut log = self.log.lock();
+        let Log { wal, stream } = &mut *log;
         wal.sync()?;
+        let mut sealed = stream.sealed.clone();
+        if !stream.unsealed.is_empty() {
+            let mut writer =
+                SegmentWriter::create(&self.segments_dir(), SegmentOptions::default())?
+                    .with_injector(self.injector.as_ref());
+            for path in writer.seal_traces(&stream.unsealed)? {
+                let rows = SegmentReader::open(&path)?.rows();
+                let name = path.file_name().unwrap_or_default().to_string_lossy();
+                sealed.push((name.into_owned(), rows));
+            }
+        }
         let (next_id, collections) = self.store.dump();
-        let mut doc = serde_json::Map::new();
-        doc.insert("next_seq".into(), json!(wal.next_seq()));
-        doc.insert("next_id".into(), json!(next_id));
         let mut cols = serde_json::Map::new();
         for (name, docs) in collections {
             let pairs: Vec<Json> = docs.into_iter().map(|(id, d)| json!([id, d])).collect();
             cols.insert(name, Json::Array(pairs));
         }
-        doc.insert("collections".into(), Json::Object(cols));
-        let bytes = Json::Object(doc).to_string().into_bytes();
+        let traces: Vec<Json> = sealed
+            .iter()
+            .map(|(file, rows)| json!({"file": file, "rows": rows}))
+            .collect();
+        let manifest = json!({
+            "next_seq": (wal.next_seq()),
+            "next_id": next_id,
+            "collections": (Json::Object(cols)),
+            "traces": traces,
+        });
         atomic_write_file(
             &self.dir.join(CHECKPOINT_FILE),
-            &bytes,
+            manifest.to_string().as_bytes(),
             self.injector.as_ref(),
         )?;
+        stream.sealed = sealed;
+        stream.unsealed = TraceBatch::new();
+        sync_dir(&self.dir)?;
         wal.reset_after_checkpoint()?;
         self.ops_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Compacts a campaign trace collection — `{"i": pos, "v": trace}`
-    /// documents as written by the campaign sink — into sealed columnar
-    /// segments under `dir/segments/`, then checkpoints.
-    ///
-    /// The seal is crash-safe end to end: segment files go through the
-    /// same atomic temp-fsync-rename path as checkpoints (the store's
-    /// crash injector fires in the same windows), the manifest
-    /// recording which files hold the collection is a WAL-logged
-    /// insert into the `"segments"` collection, and the closing
-    /// [`DurableStore::checkpoint`] retires the WAL prefix. A crash at
-    /// any point leaves either the documents alone, or documents plus
-    /// complete sealed segments — never a half-sealed file a scan
-    /// could see.
-    ///
-    /// Compaction is incremental: manifests remember how many stream
-    /// positions are already sealed, and a later call seals only the
-    /// suffix — re-finalizing a resumed campaign never duplicates
-    /// rows. `prune` deletes the source documents after sealing (the
-    /// segments become the only copy); leave it `false` when a resumed
-    /// campaign still needs to prefix-verify the documents, and note
-    /// that pruning forfeits incrementality — positions restarting at
-    /// zero would be mistaken for already-sealed rows.
-    ///
-    /// Returns the paths sealed, in seal order. A collection with
-    /// nothing new seals nothing and writes no manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadError::Store`] when a document does not decode as
-    /// a trace item, on filesystem failure, or on an injected crash.
-    pub fn compact_traces_to_segments(
-        &self,
-        collection: &str,
-        options: SegmentOptions,
-        prune: bool,
-    ) -> Result<Vec<PathBuf>, RadError> {
-        // Stream positions below this are already in sealed segments.
-        let mut already_sealed = 0u64;
-        self.store.for_each_matching(
-            SEGMENTS_COLLECTION,
-            &Filter::eq("source", Json::String(collection.to_owned())),
-            |_, doc| {
-                already_sealed += doc.get("rows").and_then(Json::as_u64).unwrap_or(0);
-            },
-        );
-        // Decode in place via the zero-clone visitor: only the `"v"`
-        // payload of each document is cloned, to hand serde an owned
-        // value.
-        let mut decoded: Vec<(u64, rad_core::TraceObject)> = Vec::new();
-        let mut bad: Option<String> = None;
-        self.store
-            .for_each_matching(collection, &Filter::all(), |id, doc| {
-                if bad.is_some() {
-                    return;
-                }
-                let pos = doc.get("i").and_then(Json::as_u64);
-                match pos {
-                    Some(pos) if pos < already_sealed => return,
-                    _ => {}
-                }
-                let value = doc.get("v").cloned();
-                match (pos, value) {
-                    (Some(pos), Some(value)) => match serde_json::from_value(value) {
-                        Ok(trace) => decoded.push((pos, trace)),
-                        Err(e) => bad = Some(format!("{collection} {id}: {e}")),
-                    },
-                    _ => bad = Some(format!("{collection} {id}: missing `i` or `v`")),
-                }
-            });
-        if let Some(reason) = bad {
-            return Err(RadError::Store(format!(
-                "compacting non-trace document {reason}"
-            )));
-        }
-        if decoded.is_empty() {
-            return Ok(Vec::new());
-        }
-        decoded.sort_by_key(|(pos, _)| *pos);
-        let mut batch = rad_core::TraceBatch::with_capacity(decoded.len());
-        for (_, trace) in decoded {
-            batch.push_owned(trace);
-        }
-
-        let mut writer = SegmentWriter::create(&self.segments_dir(), options)?
-            .with_injector(self.injector.as_ref());
-        let paths = writer.seal_traces(&batch)?;
-        let files: Vec<Json> = paths
-            .iter()
-            .map(|p| Json::String(p.file_name().unwrap_or_default().to_string_lossy().into()))
-            .collect();
-        self.insert(
-            SEGMENTS_COLLECTION,
-            json!({
-                "source": collection,
-                "rows": batch.len(),
-                "first": already_sealed,
-                "files": files,
-            }),
-        )?;
-        if prune {
-            self.delete(collection, &Filter::all())?;
-        }
-        self.checkpoint()?;
-        Ok(paths)
-    }
-
-    /// The directory compaction seals segments into.
+    /// The directory checkpoints seal trace segments into.
     pub fn segments_dir(&self) -> PathBuf {
         self.dir.join(SEGMENTS_DIR)
     }
 
-    /// Opens the store's sealed segments as a queryable
-    /// [`SegmentSet`] (empty before the first compaction).
+    /// The sealed part of the trace stream as a queryable
+    /// [`SegmentSet`]: exactly the files the live checkpoint names, so
+    /// no row appears twice (empty before the first checkpoint).
     ///
     /// # Errors
     ///
-    /// Returns [`RadError::Store`] on directory I/O failure.
+    /// Returns [`RadError::Store`] on I/O failure.
     pub fn segments(&self) -> Result<SegmentSet, RadError> {
-        SegmentSet::open(&self.segments_dir())
+        let names: Vec<String> = self
+            .log
+            .lock()
+            .stream
+            .sealed
+            .iter()
+            .map(|(name, _)| name.clone())
+            .collect();
+        SegmentSet::open_named(&self.segments_dir(), names)
     }
 
-    /// Read access to the underlying in-memory store. Mutating it
-    /// directly bypasses the log; use [`DurableStore::insert`] /
-    /// [`DurableStore::delete`] instead.
+    /// Read access to the underlying in-memory document store.
+    /// Mutating it directly bypasses the log; use
+    /// [`DurableStore::insert`] / [`DurableStore::delete`] instead.
     pub fn store(&self) -> &DocumentStore {
         &self.store
     }
@@ -525,6 +670,101 @@ impl DurableStore {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+}
+
+/// A trace frame's payload: the tag, the stream position of the first
+/// row, then the rows' segment image.
+fn trace_frame(first: u64, rows: &TraceBatch) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(FRAME_HEADER + 64 * rows.len());
+    payload.push(TRACE_FRAME);
+    payload.extend_from_slice(&first.to_le_bytes());
+    write_trace_segment(&mut payload, rows);
+    payload
+}
+
+/// Renames every `.seg` file in `dir` that the checkpoint does not name
+/// to `*.uncommitted`, unread, and reports it.
+fn set_aside_uncommitted(
+    dir: &Path,
+    named: &[(String, u64)],
+    report: &mut RecoveryReport,
+) -> Result<(), RadError> {
+    let named: HashSet<&str> = named.iter().map(|(name, _)| name.as_str()).collect();
+    for name in segment_file_names(dir)? {
+        if named.contains(name.as_str()) {
+            continue;
+        }
+        let path = dir.join(&name);
+        fs::rename(&path, path.with_file_name(format!("{name}.uncommitted")))
+            .map_err(|e| RadError::Store(format!("setting aside segment {name}: {e}")))?;
+        report.segments_set_aside.push(name);
+    }
+    Ok(())
+}
+
+/// Checks the named segments in order and returns the stream of those
+/// before the first that is missing or fails a check. That one and all
+/// after it are quarantined, and their rows counted as dropped.
+fn load_sealed(
+    dir: &Path,
+    named: Vec<(String, u64)>,
+    report: &mut RecoveryReport,
+) -> Result<TraceStream, RadError> {
+    let mut stream = TraceStream::default();
+    let mut named = named.into_iter();
+    for (name, rows) in named.by_ref() {
+        let path = dir.join(&name);
+        match check_sealed(&path, rows) {
+            Ok(()) => stream.sealed.push((name, rows)),
+            Err(err @ RadError::SegmentCorrupt { .. }) => {
+                report
+                    .segments_quarantined
+                    .push(quarantine_file(&path, err)?);
+                report.trace_rows_dropped += rows;
+                break;
+            }
+            Err(other) => return Err(other),
+        }
+    }
+    for (name, rows) in named {
+        let path = dir.join(&name);
+        let err = RadError::SegmentCorrupt {
+            segment: name,
+            offset: 0,
+            reason: "follows a damaged segment".into(),
+        };
+        report
+            .segments_quarantined
+            .push(quarantine_file(&path, err)?);
+        report.trace_rows_dropped += rows;
+    }
+    Ok(stream)
+}
+
+/// Whether the sealed file at `path` is present, holds `rows` trace
+/// rows, and passes every CRC. Damage is a [`RadError::SegmentCorrupt`].
+fn check_sealed(path: &Path, rows: u64) -> Result<(), RadError> {
+    let damage = |reason: String| RadError::SegmentCorrupt {
+        segment: path
+            .file_name()
+            .unwrap_or_default()
+            .to_string_lossy()
+            .into(),
+        offset: 0,
+        reason,
+    };
+    if !path.exists() {
+        return Err(damage("named by the checkpoint but missing".into()));
+    }
+    let mut reader = SegmentReader::open(path)?;
+    if reader.kind() != SegmentKind::Trace || reader.rows() != rows {
+        return Err(damage(format!(
+            "holds {} {:?} rows, the checkpoint names {rows} trace rows",
+            reader.rows(),
+            reader.kind()
+        )));
+    }
+    reader.verify()
 }
 
 /// The declarative form of [`DurableOptions`] — the `durable` section
@@ -665,14 +905,14 @@ mod tests {
             let (store, report) = DurableStore::open(&dir, options()).unwrap();
             assert!(report.is_clean());
             for i in 0..20 {
-                store.insert("traces", json!({"i": i})).unwrap();
+                store.insert("t", json!({"i": i})).unwrap();
             }
             store.sync().unwrap();
         }
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
         assert_eq!(store.store().len(), 20);
         assert_eq!(report.records_replayed, 20);
-        assert_eq!(store.find("traces", &Filter::eq("i", json!(7))).len(), 1);
+        assert_eq!(store.find("t", &Filter::eq("i", json!(7))).len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -878,9 +1118,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn sample_traces(n: u64) -> Vec<rad_core::TraceObject> {
+    fn sample_batch(n: u64) -> TraceBatch {
         use rad_core::{Command, CommandType, DeviceId, SimInstant, TraceId, TraceObject};
-        (0..n)
+        let traces: Vec<TraceObject> = (0..n)
             .map(|i| {
                 let ct = CommandType::from_token_id(i as usize % CommandType::all().len()).unwrap();
                 TraceObject::builder(
@@ -891,143 +1131,194 @@ mod tests {
                 )
                 .build()
             })
-            .collect()
-    }
-
-    fn trace_docs(traces: &[rad_core::TraceObject]) -> Vec<Json> {
-        traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| json!({"i": i, "v": (serde_json::to_value(t).unwrap())}))
-            .collect()
+            .collect();
+        TraceBatch::from_traces(&traces)
     }
 
     #[test]
-    fn compaction_seals_segments_and_survives_reopen() {
-        use crate::segment::SegmentOptions;
-        let dir = tmpdir("segcompact");
-        let traces = sample_traces(40);
+    fn sealed_stream_survives_reopen_with_nothing_replayed() {
+        let dir = tmpdir("seal");
+        let rows = sample_batch(40);
         {
             let (store, _) = DurableStore::open(&dir, options()).unwrap();
-            store.insert_batch("traces", trace_docs(&traces)).unwrap();
-            let paths = store
-                .compact_traces_to_segments("traces", SegmentOptions::default(), false)
-                .unwrap();
-            assert_eq!(paths.len(), 1);
-            assert_eq!(store.count("segments", &Filter::all()), 1);
-            assert_eq!(
-                store.count("traces", &Filter::all()),
-                40,
-                "unpruned compaction keeps the documents"
-            );
+            store.append_traces(&rows).unwrap();
+            store.checkpoint().unwrap();
+            assert_eq!(store.segments().unwrap().len(), 1);
         }
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(report.records_replayed, 0, "checkpoint absorbed everything");
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.records_replayed, 0, "the seal absorbed everything");
+        assert_eq!(store.trace_rows(), 40);
         let set = store.segments().unwrap();
         assert_eq!(set.trace_rows(), 40);
-        assert_eq!(set.read_all().unwrap().into_batch().to_traces(), traces);
+        assert_eq!(set.read_all().unwrap().into_batch(), rows);
+        assert_eq!(store.read_traces().unwrap(), rows);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn pruned_compaction_makes_segments_the_only_copy() {
-        use crate::segment::SegmentOptions;
-        let dir = tmpdir("segprune");
-        let traces = sample_traces(25);
-        let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        store.insert_batch("traces", trace_docs(&traces)).unwrap();
-        store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), true)
-            .unwrap();
-        assert_eq!(store.count("traces", &Filter::all()), 0);
-        let set = store.segments().unwrap();
-        assert_eq!(set.read_all().unwrap().into_batch().to_traces(), traces);
-        // Compacting the now-empty collection is a no-op.
-        assert!(store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), true)
-            .unwrap()
-            .is_empty());
-        assert_eq!(store.count("segments", &Filter::all()), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crashed_compaction_leaves_documents_intact() {
-        use crate::segment::SegmentOptions;
-        let dir = tmpdir("segcrash");
+    fn crashed_seal_leaves_its_rows_in_the_wal_and_no_scanned_segment() {
+        let dir = tmpdir("sealcrash");
+        let rows = sample_batch(30);
         let opts = DurableOptions {
             crash_plan: Some(CrashPlan::at(CrashSite::MidRename, 0)),
             ..options()
         };
         let (store, _) = DurableStore::open(&dir, opts).unwrap();
-        store
-            .insert_batch("traces", trace_docs(&sample_traces(30)))
-            .unwrap();
-        let err = store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), true)
-            .unwrap_err();
+        store.append_traces(&rows).unwrap();
+        let err = store.checkpoint().unwrap_err();
         assert!(err.to_string().contains("injected crash"));
-        assert_eq!(store.count("traces", &Filter::all()), 30, "prune never ran");
-        assert_eq!(store.count("segments", &Filter::all()), 0, "no manifest");
         assert!(store.segments().unwrap().is_empty(), "no live segment");
         drop(store);
-        // A clean reopen still has every document and can compact.
-        let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.count("traces", &Filter::all()), 30);
-        store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), true)
-            .unwrap();
-        assert_eq!(store.segments().unwrap().trace_rows(), 30);
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(report.records_replayed, 1, "the rows replay from the WAL");
+        assert!(store.segments().unwrap().is_empty());
+        assert_eq!(store.read_traces().unwrap(), rows);
+        // A clean checkpoint then seals them exactly once.
+        store.checkpoint().unwrap();
+        assert_eq!(
+            store.segments().unwrap().read_all().unwrap().into_batch(),
+            rows
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn non_trace_collection_fails_compaction_cleanly() {
-        use crate::segment::SegmentOptions;
-        let dir = tmpdir("segbad");
-        let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        store
-            .insert("notes", json!({"i": 0, "v": {"free": "form"}}))
-            .unwrap();
-        assert!(store
-            .compact_traces_to_segments("notes", SegmentOptions::default(), false)
-            .is_err());
-        assert_eq!(store.count("notes", &Filter::all()), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recompaction_seals_only_the_new_suffix() {
-        use crate::segment::SegmentOptions;
-        let dir = tmpdir("segincr");
-        let traces = sample_traces(50);
-        let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        store
-            .insert_batch("traces", trace_docs(&traces[..40]))
-            .unwrap();
-        store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), false)
-            .unwrap();
-        // Re-finalizing with nothing new must not duplicate rows.
-        assert!(store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), false)
-            .unwrap()
-            .is_empty());
-        assert_eq!(store.segments().unwrap().trace_rows(), 40);
-        // Ten more stream positions arrive; only they are sealed.
-        let suffix: Vec<Json> = traces[40..]
-            .iter()
-            .enumerate()
-            .map(|(i, t)| json!({"i": (i + 40), "v": (serde_json::to_value(t).unwrap())}))
-            .collect();
-        store.insert_batch("traces", suffix).unwrap();
-        store
-            .compact_traces_to_segments("traces", SegmentOptions::default(), false)
-            .unwrap();
+    fn uncommitted_seals_are_set_aside_unread() {
+        let dir = tmpdir("setaside");
+        let rows = sample_batch(30);
+        let opts = DurableOptions {
+            // Visit 0 renames the sealed segment; visit 1 would rename
+            // `checkpoint.json`, naming it.
+            crash_plan: Some(CrashPlan::at(CrashSite::MidRename, 1)),
+            ..options()
+        };
+        let (store, _) = DurableStore::open(&dir, opts).unwrap();
+        store.append_traces(&rows).unwrap();
+        assert!(store.checkpoint().is_err());
+        drop(store);
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(report.segments_set_aside, ["trace-all-000000.seg"]);
+        assert!(dir
+            .join("segments/trace-all-000000.seg.uncommitted")
+            .exists());
+        assert_eq!(store.read_traces().unwrap(), rows, "every row exactly once");
+        store.checkpoint().unwrap();
         let set = store.segments().unwrap();
-        assert_eq!(set.trace_rows(), 50);
-        assert_eq!(set.read_all().unwrap().into_batch().to_traces(), traces);
-        assert_eq!(store.count("segments", &Filter::all()), 2);
+        assert_eq!(set.trace_rows(), 30, "the new seal does not reuse the name");
+        drop(store);
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(store.read_traces().unwrap(), rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_checkpoint_seals_only_the_new_rows() {
+        let dir = tmpdir("sealincr");
+        let rows = sample_batch(50);
+        let (store, _) = DurableStore::open(&dir, options()).unwrap();
+        store.append_traces(&rows.slice(0..40)).unwrap();
+        store.checkpoint().unwrap();
+        // Checkpointing with nothing new seals nothing.
+        store.checkpoint().unwrap();
+        assert_eq!(store.segments().unwrap().len(), 1);
+        store.append_traces(&rows.slice(40..50)).unwrap();
+        store.checkpoint().unwrap();
+        let set = store.segments().unwrap();
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.read_all().unwrap().into_batch(), rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_sealed_segment_ends_the_prefix() {
+        let dir = tmpdir("sealdamage");
+        let rows = sample_batch(25);
+        {
+            let (store, _) = DurableStore::open(&dir, options()).unwrap();
+            store.append_traces(&rows.slice(0..10)).unwrap();
+            store.checkpoint().unwrap();
+            store.append_traces(&rows.slice(10..20)).unwrap();
+            store.checkpoint().unwrap();
+            store.append_traces(&rows.slice(20..25)).unwrap();
+            store.sync().unwrap();
+        }
+        // Flip a byte of the second segment's first column.
+        let second = dir.join("segments/trace-all-000001.seg");
+        let mut bytes = fs::read(&second).unwrap();
+        bytes[0] ^= 0x40;
+        fs::write(&second, bytes).unwrap();
+
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(report.segments_quarantined.len(), 1);
+        assert_eq!(report.trace_frames_skipped, 1, "the frame at row 20");
+        assert_eq!(report.trace_rows_dropped, 15);
+        assert_eq!(store.read_traces().unwrap(), rows.slice(0..10));
+        drop(store);
+
+        // A missing first segment takes every later one with it.
+        fs::remove_file(dir.join("segments/trace-all-000000.seg")).unwrap();
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(store.trace_rows(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn large_appends_split_into_frames_under_the_record_cap() {
+        let dir = tmpdir("split");
+        let rows = sample_batch(FRAME_ROWS as u64 + 3);
+        {
+            let (store, _) = DurableStore::open(&dir, options()).unwrap();
+            store.append_traces(&TraceBatch::new()).unwrap();
+            store.append_traces(&rows).unwrap();
+            store.sync().unwrap();
+        }
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(
+            report.records_replayed, 2,
+            "two frames, none for the empty batch"
+        );
+        assert_eq!(store.read_traces().unwrap(), rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_naming_a_file_outside_segments_is_quarantined() {
+        let dir = tmpdir("escape");
+        {
+            let (store, _) = DurableStore::open(&dir, options()).unwrap();
+            store.append_traces(&sample_batch(3)).unwrap();
+            store.checkpoint().unwrap();
+        }
+        let outside = dir.join("outside.seg");
+        fs::write(&outside, b"not a segment").unwrap();
+        let manifest = fs::read_to_string(dir.join(CHECKPOINT_FILE))
+            .unwrap()
+            .replace("trace-all-000000.seg", "../outside.seg");
+        fs::write(dir.join(CHECKPOINT_FILE), manifest).unwrap();
+        let (_store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert!(report.checkpoint_quarantined);
+        assert!(
+            outside.exists(),
+            "recovery renames nothing outside segments/"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_record_tag_is_a_typed_error() {
+        let dir = tmpdir("badtag");
+        {
+            let (mut wal, _, _) = Wal::open(&dir, WalOptions::default(), None).unwrap();
+            wal.append(b"Xnot a record").unwrap();
+        }
+        let err = DurableStore::open(&dir, options()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown logged record tag 0x58"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

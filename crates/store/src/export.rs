@@ -156,8 +156,8 @@ pub fn export_rad_alerted(
 
 /// Writes the full RAD bundle under `dir`, streaming the trace and
 /// power halves straight out of sealed columnar `segments` instead of
-/// an in-memory dataset — a store whose documents were pruned after
-/// compaction can still publish. Run metadata and trace gaps are not
+/// an in-memory dataset, such as a durable store's sealed trace
+/// stream. Run metadata and trace gaps are not
 /// part of the segment format, so the caller supplies them.
 ///
 /// Produces a bundle byte-identical to [`export_rad`] of the

@@ -47,6 +47,11 @@
 //! └────────────────────────────────┘
 //! ```
 //!
+//! The same bytes held in memory are the body of a durable store's
+//! WAL trace frames: [`trace_segment_bytes`] writes them through the
+//! writer's code path and [`SegmentReader::from_bytes`] reads them
+//! through the file reader's decoders.
+//!
 //! Trace column encodings: timestamps / ids / response times /
 //! argument offsets are delta-varints (zigzag deltas over the previous
 //! value), device ids are dictionary-coded, command tokens reuse the
@@ -73,6 +78,7 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
+use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -82,7 +88,7 @@ use rad_core::{
 };
 use rad_power::{BlockSource, PowerBlock, PowerSample, PowerSink, PowerSource, RecordingMeta};
 
-use crate::wal::{atomic_write_stream, crc32, CrashInjector, QuarantinedSegment};
+use crate::wal::{atomic_write_stream, crc32, sync_dir, CrashInjector, QuarantinedSegment};
 
 pub mod codec;
 
@@ -602,20 +608,22 @@ fn encode_power_columns(block: &PowerBlock) -> Vec<(String, u8, Vec<u8>)> {
         .collect()
 }
 
-fn write_segment_file(
-    path: &Path,
+/// Writes one segment to `w`: the column payloads back to back, then
+/// the footer and trailer. Sealed files and the WAL's trace frames
+/// both go through here, so they share one byte format.
+fn write_segment<N: AsRef<str>>(
+    w: &mut dyn Write,
     kind: SegmentKind,
     rows: u64,
     zone: ZoneMap,
     power_meta: Option<RecordingMeta>,
-    columns: Vec<(String, u8, Vec<u8>)>,
-    injector: Option<&CrashInjector>,
-) -> Result<(), RadError> {
+    columns: &[(N, u8, Vec<u8>)],
+) -> std::io::Result<()> {
     let mut metas = Vec::with_capacity(columns.len());
     let mut offset = 0u64;
-    for (name, encoding, bytes) in &columns {
+    for (name, encoding, bytes) in columns {
         metas.push(ColumnMeta {
-            name: name.clone(),
+            name: name.as_ref().to_owned(),
             encoding: *encoding,
             offset,
             len: bytes.len() as u64,
@@ -631,17 +639,49 @@ fn write_segment_file(
         columns: metas,
     }
     .encode();
-    let footer_crc = crc32(&footer);
+    for (_, _, bytes) in columns {
+        w.write_all(bytes)?;
+    }
+    w.write_all(&footer)?;
+    w.write_all(&(footer.len() as u32).to_le_bytes())?;
+    w.write_all(&crc32(&footer).to_le_bytes())?;
+    w.write_all(MAGIC)
+}
+
+fn write_segment_file<N: AsRef<str>>(
+    path: &Path,
+    kind: SegmentKind,
+    rows: u64,
+    zone: ZoneMap,
+    power_meta: Option<RecordingMeta>,
+    columns: &[(N, u8, Vec<u8>)],
+    injector: Option<&CrashInjector>,
+) -> Result<(), RadError> {
     atomic_write_stream(path, injector, |w| {
-        for (_, _, bytes) in &columns {
-            w.write_all(bytes)?;
-        }
-        w.write_all(&footer)?;
-        w.write_all(&(footer.len() as u32).to_le_bytes())?;
-        w.write_all(&footer_crc.to_le_bytes())?;
-        w.write_all(MAGIC)?;
-        Ok(())
+        write_segment(w, kind, rows, zone, power_meta, columns)
     })
+}
+
+/// The segment image of `batch`, in memory: exactly the bytes
+/// [`SegmentWriter::seal_traces`] would write to a file for it.
+/// [`SegmentReader::from_bytes`] decodes it.
+pub fn trace_segment_bytes(batch: &TraceBatch) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_trace_segment(&mut out, batch);
+    out
+}
+
+/// Appends the segment image of `batch` to `out`.
+pub(crate) fn write_trace_segment(out: &mut Vec<u8>, batch: &TraceBatch) {
+    write_segment(
+        out,
+        SegmentKind::Trace,
+        batch.len() as u64,
+        ZoneMap::for_traces(batch),
+        None,
+        &encode_trace_columns(batch),
+    )
+    .expect("writing to memory cannot fail");
 }
 
 // ---------------------------------------------------------------------------
@@ -725,7 +765,9 @@ impl<'a> SegmentWriter<'a> {
     /// Seals `batch` into one or more segments (partitioned by device
     /// when configured, then split every
     /// [`SegmentOptions::rows_per_segment`] rows) and returns the
-    /// paths written, in seal order. An empty batch seals nothing.
+    /// paths written, in seal order. Once every file is renamed into
+    /// place the directory is fsynced, so a power loss cannot undo
+    /// the seal. An empty batch seals nothing.
     ///
     /// # Errors
     ///
@@ -773,20 +815,18 @@ impl<'a> SegmentWriter<'a> {
                     piece.len() as u64,
                     ZoneMap::for_traces(piece),
                     None,
-                    encode_trace_columns(piece)
-                        .into_iter()
-                        .map(|(n, e, b)| (n.to_owned(), e, b))
-                        .collect(),
+                    &encode_trace_columns(piece),
                     self.injector,
                 )?;
                 paths.push(path);
             }
         }
+        sync_dir(&self.dir)?;
         Ok(paths)
     }
 
     /// Seals one power recording (metadata + full block) into a
-    /// segment and returns its path.
+    /// segment, fsyncs the directory, and returns its path.
     ///
     /// # Errors
     ///
@@ -804,21 +844,24 @@ impl<'a> SegmentWriter<'a> {
             block.len() as u64,
             ZoneMap::for_power(meta, block),
             Some(meta.clone()),
-            encode_power_columns(block),
+            &encode_power_columns(block),
             self.injector,
         )?;
+        sync_dir(&self.dir)?;
         Ok(path)
     }
 }
 
 fn next_seq(dir: &Path) -> Result<u32, RadError> {
     let mut max = 0u32;
-    for name in segment_file_names(dir)? {
-        // `<stem>-NNNNNN.seg` — the final dash-separated field is the
-        // sequence number.
+    for name in file_names(dir)? {
+        // `<stem>-NNNNNN.seg`, possibly renamed aside with a further
+        // suffix — the final dash-separated field of the stem is the
+        // sequence number. Counting renamed files too means a number
+        // is never reused while its old file still exists.
         if let Some(seq) = name
-            .strip_suffix(&format!(".{SEGMENT_EXT}"))
-            .and_then(|s| s.rsplit('-').next())
+            .split_once(&format!(".{SEGMENT_EXT}"))
+            .and_then(|(stem, _)| stem.rsplit('-').next())
             .and_then(|s| s.parse::<u32>().ok())
         {
             max = max.max(seq + 1);
@@ -827,7 +870,15 @@ fn next_seq(dir: &Path) -> Result<u32, RadError> {
     Ok(max)
 }
 
-fn segment_file_names(dir: &Path) -> Result<Vec<String>, RadError> {
+/// Sealed segment files in `dir`, in seal order.
+pub(crate) fn segment_file_names(dir: &Path) -> Result<Vec<String>, RadError> {
+    let mut names = file_names(dir)?;
+    names.retain(|name| name.ends_with(&format!(".{SEGMENT_EXT}")));
+    Ok(names)
+}
+
+/// Every file name in `dir`, sorted; a missing directory is empty.
+fn file_names(dir: &Path) -> Result<Vec<String>, RadError> {
     let mut names = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -841,10 +892,7 @@ fn segment_file_names(dir: &Path) -> Result<Vec<String>, RadError> {
     };
     for entry in entries {
         let entry = entry.map_err(|e| RadError::Store(format!("read segment dir entry: {e}")))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(&format!(".{SEGMENT_EXT}")) {
-            names.push(name);
-        }
+        names.push(entry.file_name().to_string_lossy().into_owned());
     }
     names.sort();
     Ok(names)
@@ -864,6 +912,33 @@ fn corrupt(path: &Path, offset: u64, reason: impl Into<String>) -> RadError {
     }
 }
 
+/// Where a [`SegmentReader`]'s bytes live: a sealed file, or a segment
+/// image in memory (the body of a WAL trace frame).
+#[derive(Debug)]
+enum Source {
+    File(File),
+    Bytes(Vec<u8>),
+}
+
+impl Source {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64, path: &Path) -> Result<(), RadError> {
+        match self {
+            Source::File(file) => file
+                .read_exact_at(buf, offset)
+                .map_err(|e| RadError::Store(format!("read segment {}: {e}", path.display()))),
+            Source::Bytes(bytes) => {
+                let start = usize::try_from(offset).unwrap_or(usize::MAX);
+                let src = start
+                    .checked_add(buf.len())
+                    .and_then(|end| bytes.get(start..end))
+                    .ok_or_else(|| corrupt(path, offset, "read past the end of the segment"))?;
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+        }
+    }
+}
+
 /// Lazy reader over one sealed segment.
 ///
 /// The footer is read eagerly at open; column payloads are fetched
@@ -873,7 +948,7 @@ fn corrupt(path: &Path, offset: u64, reason: impl Into<String>) -> RadError {
 #[derive(Debug)]
 pub struct SegmentReader {
     path: PathBuf,
-    file: File,
+    source: Source,
     body_len: u64,
     footer: Footer,
     cache: Vec<Option<Vec<u8>>>,
@@ -894,13 +969,30 @@ impl SegmentReader {
             .metadata()
             .map_err(|e| RadError::Store(format!("stat segment {}: {e}", path.display())))?
             .len();
+        Self::from_source(path.to_path_buf(), Source::File(file), len)
+    }
+
+    /// A reader over a segment image held in memory, such as
+    /// [`trace_segment_bytes`] produces. `label` stands in for the
+    /// file name in errors and [`SegmentReader::path`]. Decoding runs
+    /// through the same column decoders as a file.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SegmentReader::open`].
+    pub fn from_bytes(label: &str, bytes: Vec<u8>) -> Result<Self, RadError> {
+        let len = bytes.len() as u64;
+        Self::from_source(PathBuf::from(label), Source::Bytes(bytes), len)
+    }
+
+    fn from_source(path: PathBuf, source: Source, len: u64) -> Result<Self, RadError> {
         if len < TRAILER_LEN {
-            return Err(corrupt(path, 0, format!("file too short ({len} bytes)")));
+            return Err(corrupt(&path, 0, format!("file too short ({len} bytes)")));
         }
         let mut trailer = [0u8; TRAILER_LEN as usize];
-        read_exact_at(&file, &mut trailer, len - TRAILER_LEN, path)?;
+        source.read_exact_at(&mut trailer, len - TRAILER_LEN, &path)?;
         if &trailer[8..12] != MAGIC {
-            return Err(corrupt(path, len - 4, "bad magic"));
+            return Err(corrupt(&path, len - 4, "bad magic"));
         }
         let footer_len = u64::from(u32::from_le_bytes(
             trailer[0..4].try_into().expect("4 bytes"),
@@ -908,23 +1000,23 @@ impl SegmentReader {
         let footer_crc = u32::from_le_bytes(trailer[4..8].try_into().expect("4 bytes"));
         if footer_len > len - TRAILER_LEN {
             return Err(corrupt(
-                path,
+                &path,
                 len - TRAILER_LEN,
                 format!("footer length {footer_len} exceeds file"),
             ));
         }
         let footer_start = len - TRAILER_LEN - footer_len;
         let mut footer_bytes = vec![0u8; footer_len as usize];
-        read_exact_at(&file, &mut footer_bytes, footer_start, path)?;
+        source.read_exact_at(&mut footer_bytes, footer_start, &path)?;
         if crc32(&footer_bytes) != footer_crc {
-            return Err(corrupt(path, footer_start, "footer crc mismatch"));
+            return Err(corrupt(&path, footer_start, "footer crc mismatch"));
         }
         let footer =
-            Footer::decode(&footer_bytes).map_err(|reason| corrupt(path, footer_start, reason))?;
+            Footer::decode(&footer_bytes).map_err(|reason| corrupt(&path, footer_start, reason))?;
         for col in &footer.columns {
             if col.offset + col.len > footer_start {
                 return Err(corrupt(
-                    path,
+                    &path,
                     footer_start,
                     format!("column `{}` extends past the body", col.name),
                 ));
@@ -932,8 +1024,8 @@ impl SegmentReader {
         }
         let cache = vec![None; footer.columns.len()];
         Ok(SegmentReader {
-            path: path.to_path_buf(),
-            file,
+            path,
+            source,
             body_len: footer_start,
             footer,
             cache,
@@ -1021,7 +1113,8 @@ impl SegmentReader {
         if self.cache[idx].is_none() {
             let meta = &self.footer.columns[idx];
             let mut bytes = vec![0u8; meta.len as usize];
-            read_exact_at(&self.file, &mut bytes, meta.offset, &self.path)?;
+            self.source
+                .read_exact_at(&mut bytes, meta.offset, &self.path)?;
             if crc32(&bytes) != meta.crc {
                 return Err(corrupt(
                     &self.path,
@@ -1032,6 +1125,11 @@ impl SegmentReader {
             self.cache[idx] = Some(bytes);
         }
         Ok(())
+    }
+
+    /// Loads every column, checking its CRC, without decoding any.
+    pub(crate) fn verify(&mut self) -> Result<(), RadError> {
+        (0..self.footer.columns.len()).try_for_each(|idx| self.load_column(idx))
     }
 
     fn cached(&self, idx: usize) -> &[u8] {
@@ -1326,11 +1424,6 @@ impl SegmentReader {
     }
 }
 
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64, path: &Path) -> Result<(), RadError> {
-    file.read_exact_at(buf, offset)
-        .map_err(|e| RadError::Store(format!("read segment {}: {e}", path.display())))
-}
-
 // ---------------------------------------------------------------------------
 // Segment sets: the parallel query layer
 
@@ -1361,9 +1454,18 @@ impl SegmentSet {
     ///
     /// Returns [`RadError::Store`] on directory I/O failure.
     pub fn open(dir: &Path) -> Result<Self, RadError> {
+        Self::open_named(dir, segment_file_names(dir)?)
+    }
+
+    /// [`SegmentSet::open`] over just the named files of `dir`, in the
+    /// given order.
+    pub(crate) fn open_named(
+        dir: &Path,
+        names: impl IntoIterator<Item = String>,
+    ) -> Result<Self, RadError> {
         let mut segments = Vec::new();
         let mut quarantined = Vec::new();
-        for name in segment_file_names(dir)? {
+        for name in names {
             let path = dir.join(&name);
             match SegmentReader::open(&path) {
                 Ok(reader) => segments.push(SegmentEntry {
@@ -1578,7 +1680,7 @@ fn scan_parallel<T: Send>(
     })
 }
 
-fn quarantine_file(path: &Path, err: RadError) -> Result<QuarantinedSegment, RadError> {
+pub(crate) fn quarantine_file(path: &Path, err: RadError) -> Result<QuarantinedSegment, RadError> {
     let RadError::SegmentCorrupt {
         segment,
         offset,

@@ -74,7 +74,7 @@ const HEADER_LEN: usize = 16;
 
 /// Upper bound on a single record; anything larger in a length field is
 /// treated as corruption rather than an allocation request.
-const MAX_RECORD: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven. Vendored shims provide no checksum
@@ -358,12 +358,32 @@ pub struct RecoveryReport {
     pub checkpoint_next_seq: u64,
     /// Whether a damaged checkpoint file was set aside.
     pub checkpoint_quarantined: bool,
+    /// Sealed trace segments the checkpoint names that were missing or
+    /// failed a check, plus every named segment after the first such
+    /// one (renamed `*.quarantined` where present). The trace stream's
+    /// sealed prefix ends before them.
+    pub segments_quarantined: Vec<QuarantinedSegment>,
+    /// Sealed trace segments the checkpoint does not name: the seals of
+    /// a checkpoint that died before committing. Their rows are still
+    /// in the WAL, so the files are renamed `*.uncommitted`, unread.
+    pub segments_set_aside: Vec<String>,
+    /// Trace frames not applied because they did not start at the end
+    /// of the recovered stream.
+    pub trace_frames_skipped: usize,
+    /// Appended trace rows the recovered stream lost: the rows of
+    /// quarantined segments and of skipped frames.
+    pub trace_rows_dropped: u64,
 }
 
 impl RecoveryReport {
     /// Whether recovery found a perfectly clean log.
     pub fn is_clean(&self) -> bool {
-        self.torn_tail.is_none() && self.quarantined.is_empty() && !self.checkpoint_quarantined
+        self.torn_tail.is_none()
+            && self.quarantined.is_empty()
+            && !self.checkpoint_quarantined
+            && self.segments_quarantined.is_empty()
+            && self.segments_set_aside.is_empty()
+            && self.trace_frames_skipped == 0
     }
 }
 
@@ -371,7 +391,8 @@ impl fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "segments={} recovered={} replayed={} torn={} quarantined={} checkpoint_seq={}",
+            "segments={} recovered={} replayed={} torn={} quarantined={} checkpoint_seq={} \
+             sealed_quarantined={} set_aside={} frames_skipped={} rows_dropped={}",
             self.segments_scanned,
             self.records_recovered,
             self.records_replayed,
@@ -381,6 +402,10 @@ impl fmt::Display for RecoveryReport {
                 .unwrap_or_else(|| "none".into()),
             self.quarantined.len(),
             self.checkpoint_next_seq,
+            self.segments_quarantined.len(),
+            self.segments_set_aside.len(),
+            self.trace_frames_skipped,
+            self.trace_rows_dropped,
         )
     }
 }
@@ -688,12 +713,14 @@ impl Wal {
         Ok(())
     }
 
-    /// Finalizes the active segment and starts a new one.
+    /// Finalizes the active segment and starts a new one, fsyncing the
+    /// log directory so the new file survives a power loss.
     fn rotate(&mut self) -> Result<(), RadError> {
         self.sync()?;
         self.segment_index += 1;
         let path = self.dir.join(segment_name(self.segment_index));
         let file = File::create(&path).map_err(|e| io_err("creating wal segment", e))?;
+        sync_dir(&self.dir)?;
         self.file = file;
         self.segment_len = 0;
         self.synced_len = 0;

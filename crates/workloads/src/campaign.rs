@@ -14,12 +14,10 @@ use std::path::Path;
 
 use rad_core::{
     AnomalyCause, Command, CommandType, DeviceKind, Label, ProcedureKind, RadError, RunId,
-    RunMetadata, SimDuration, Value,
+    RunMetadata, SimDuration, TraceBatch, Value,
 };
 use rad_middlebox::{FaultPlan, Middlebox};
-use rad_store::{
-    CommandDataset, CrashPlan, DurableOptions, DurableStore, Filter, PowerDataset, SegmentOptions,
-};
+use rad_store::{CommandDataset, CrashPlan, DurableOptions, DurableStore, Filter, PowerDataset};
 use serde_json::{json, Value as Json};
 
 use crate::procedures::{self, P1Variant, P2Variant, P3Variant, SOLIDS};
@@ -298,13 +296,15 @@ impl CampaignBuilder {
     }
 
     /// Runs the campaign while persisting every trace, gap, run, and
-    /// journal entry through a [`DurableStore`] in `dir`: after each
-    /// supervised run the delta is WAL-logged and fsynced, and every
-    /// `CHECKPOINT_EVERY_RUNS` runs the log compacts into a
-    /// checkpoint. A process killed at any point (for real, or via
-    /// [`CampaignBuilder::with_crash_plan`]) leaves a store that
-    /// [`CampaignBuilder::resume_from`] completes into a byte-identical
-    /// dataset.
+    /// journal entry through a [`DurableStore`] in `dir`. After each
+    /// supervised run the delta is WAL-logged and fsynced: new traces
+    /// go to the store's trace stream as columnar frames, the other
+    /// streams as small JSON documents. Every `CHECKPOINT_EVERY_RUNS`
+    /// runs, and once at the end, the store checkpoints, sealing the
+    /// traces logged since into segment files. A process killed at any
+    /// point (for real, or via [`CampaignBuilder::with_crash_plan`])
+    /// leaves a store that [`CampaignBuilder::resume_from`] completes
+    /// into a byte-identical dataset.
     ///
     /// Calling it on a directory that already holds a partial build of
     /// the *same* campaign continues persisting from where it stopped.
@@ -322,7 +322,9 @@ impl CampaignBuilder {
         let (durable, _report) = DurableStore::open(dir, options)?;
         let mut sink = CampaignSink::attach(&durable, self.fingerprint())?;
         let dataset = self.run(Some(&mut sink))?;
-        sink.finalize()?;
+        // The final checkpoint seals the traces logged since the last
+        // one, so the whole stream ends up in segment files.
+        durable.checkpoint()?;
         Ok(dataset)
     }
 
@@ -335,9 +337,12 @@ impl CampaignBuilder {
     ///
     /// The simulation is cheap and seeded; the durable store is the
     /// crash-prone product. Resume therefore re-simulates instead of
-    /// snapshotting simulator state, and the prefix comparison turns
-    /// any divergence (foreign data, invented or corrupted records)
-    /// into a typed error instead of a silently wrong dataset.
+    /// snapshotting simulator state. The persisted trace stream is
+    /// compared with the simulated batch column by column, and the
+    /// small documents record by record, so any divergence (foreign
+    /// data, invented or corrupted records) is a typed error naming
+    /// the first differing row instead of a silently wrong dataset.
+    /// Each stream's missing suffix is then written with one append.
     ///
     /// # Errors
     ///
@@ -368,10 +373,9 @@ impl CampaignBuilder {
         // Deterministic re-simulation of the uninterrupted campaign.
         let sim = self.run(None)?;
 
-        // Verify the persisted prefix record-for-record, then persist
-        // the suffix the crash cut off.
-        let sim_traces = sim.command.traces();
-        verify_and_complete(&durable, "traces", &sim_traces, item_doc)?;
+        // Verify the persisted prefixes, then persist the suffixes the
+        // crash cut off.
+        verify_and_complete_traces(&durable, sim.command.batch())?;
         verify_and_complete(&durable, "gaps", sim.command.gaps(), item_doc)?;
         verify_and_complete(&durable, "runs", sim.command.runs(), item_doc)?;
         verify_and_complete(&durable, "journal", &sim.journal, journal_doc)?;
@@ -379,31 +383,25 @@ impl CampaignBuilder {
         durable.insert(
             "cursor",
             cursor_doc(
-                sim_traces.len(),
+                sim.command.len(),
                 sim.command.gaps().len(),
                 sim.command.runs().len(),
                 sim.journal.len(),
                 &fingerprint,
             ),
         )?;
-        // Same end state as an uninterrupted build: the trace stream
-        // sealed into segments (only the unsealed suffix — the
-        // manifest remembers what a pre-crash finalize already wrote)
+        // Same end state as an uninterrupted build: every trace sealed,
         // and a checkpoint.
-        let sealed =
-            durable.compact_traces_to_segments("traces", SegmentOptions::default(), false)?;
-        if sealed.is_empty() {
-            durable.checkpoint()?;
-        }
+        durable.checkpoint()?;
 
         // Reconstruct the command half from the store — the dataset
         // returned is what disk proves, not what memory remembers.
-        let traces = decode_items(&durable, "traces")?;
+        let traces = durable.read_traces()?;
         let gaps = decode_items(&durable, "gaps")?;
         let runs = decode_items(&durable, "runs")?;
         let journal = decode_journal(&durable)?;
         Ok(CampaignDataset {
-            command: CommandDataset::from_parts(traces, runs).with_gaps(gaps),
+            command: CommandDataset::from_batch(traces, runs).with_gaps(gaps),
             power: sim.power,
             journal,
         })
@@ -621,8 +619,8 @@ struct CampaignSink<'a> {
 impl<'a> CampaignSink<'a> {
     /// Binds to `durable`, continuing from whatever it already holds.
     /// Records are appended strictly in order and never deleted, so the
-    /// per-collection counts *are* the resume cursors — correct even
-    /// after a crash between the record inserts and the cursor update.
+    /// stream lengths *are* the resume cursors — correct even after a
+    /// crash between the record appends and the cursor update.
     fn attach(durable: &'a DurableStore, fingerprint: String) -> Result<Self, RadError> {
         if let Some(cursor) = durable.find("cursor", &Filter::all()).last() {
             let persisted = cursor
@@ -638,7 +636,7 @@ impl<'a> CampaignSink<'a> {
             }
         }
         Ok(CampaignSink {
-            traces_done: durable.count("traces", &Filter::all()),
+            traces_done: durable.trace_rows() as usize,
             gaps_done: durable.count("gaps", &Filter::all()),
             runs_done: durable.count("runs", &Filter::all()),
             journal_done: durable.count("journal", &Filter::all()),
@@ -649,18 +647,14 @@ impl<'a> CampaignSink<'a> {
     }
 
     /// Logs everything new since the last flush — one WAL frame per
-    /// stream delta, not one per record — fsyncs, and compacts into a
-    /// checkpoint every [`CHECKPOINT_EVERY_RUNS`] supervised runs.
+    /// stream delta, not one per record — fsyncs, and checkpoints
+    /// every [`CHECKPOINT_EVERY_RUNS`] supervised runs.
     fn flush(&mut self, session: &Session, journal: &[ProcedureRun]) -> Result<(), RadError> {
         let mb = session.middlebox();
         let batch = mb.batch();
         if batch.len() > self.traces_done {
-            // Each new row materializes once, straight out of the
-            // columnar store — no whole-log clone per flush.
-            let docs: Vec<Json> = (self.traces_done..batch.len())
-                .map(|idx| item_doc(idx, &batch.materialize(idx)))
-                .collect();
-            self.durable.insert_batch("traces", docs)?;
+            self.durable
+                .append_traces(&batch.slice(self.traces_done..batch.len()))?;
             self.traces_done = batch.len();
         }
         let gaps = mb.gaps();
@@ -712,22 +706,6 @@ impl<'a> CampaignSink<'a> {
         if self.runs_since_checkpoint >= CHECKPOINT_EVERY_RUNS {
             self.durable.checkpoint()?;
             self.runs_since_checkpoint = 0;
-        }
-        Ok(())
-    }
-
-    /// Final compaction once the campaign is complete: the trace
-    /// stream is sealed into immutable columnar segments (incremental,
-    /// so re-finalizing a resumed campaign seals only the new suffix)
-    /// and the store checkpoints. The documents stay in place — the
-    /// segments are the query-optimized copy, not a replacement.
-    fn finalize(&mut self) -> Result<(), RadError> {
-        let sealed =
-            self.durable
-                .compact_traces_to_segments("traces", SegmentOptions::default(), false)?;
-        if sealed.is_empty() {
-            // Nothing new to seal; compaction skipped its checkpoint.
-            self.durable.checkpoint()?;
         }
         Ok(())
     }
@@ -800,11 +778,34 @@ fn sorted_docs(durable: &DurableStore, collection: &str) -> Vec<Json> {
     docs
 }
 
+/// Checks that the persisted trace stream is a row-exact prefix of the
+/// simulated `batch`, column by column, then appends the missing
+/// suffix. Any divergence is a [`RadError::CheckpointMismatch`] naming
+/// the first differing row.
+fn verify_and_complete_traces(durable: &DurableStore, batch: &TraceBatch) -> Result<(), RadError> {
+    let persisted = durable.read_traces()?;
+    if persisted.len() > batch.len() {
+        return Err(RadError::CheckpointMismatch {
+            reason: format!(
+                "traces: store holds {} rows but the simulation produced {}",
+                persisted.len(),
+                batch.len()
+            ),
+        });
+    }
+    if let Some(row) = persisted.first_difference(batch) {
+        return Err(RadError::CheckpointMismatch {
+            reason: format!("traces row {row} diverges from the simulated campaign"),
+        });
+    }
+    durable.append_traces(&batch.slice(persisted.len()..batch.len()))
+}
+
 /// Checks that everything persisted in `collection` is a record-exact
 /// prefix of the simulated stream `items`, then persists the missing
-/// suffix. Any divergence — extra records, corrupted records, a foreign
-/// campaign — is a [`RadError::CheckpointMismatch`], never a silently
-/// wrong dataset.
+/// suffix with one batch insert. Any divergence — extra records,
+/// corrupted records, a foreign campaign — is a
+/// [`RadError::CheckpointMismatch`], never a silently wrong dataset.
 fn verify_and_complete<T>(
     durable: &DurableStore,
     collection: &str,
@@ -828,9 +829,13 @@ fn verify_and_complete<T>(
             });
         }
     }
-    for (idx, item) in items.iter().enumerate().skip(persisted.len()) {
-        durable.insert(collection, encode(idx, item))?;
-    }
+    let suffix = items
+        .iter()
+        .enumerate()
+        .skip(persisted.len())
+        .map(|(idx, item)| encode(idx, item))
+        .collect();
+    durable.insert_batch(collection, suffix)?;
     Ok(())
 }
 
@@ -1230,8 +1235,8 @@ mod tests {
             "sealed segments hold the campaign's exact trace stream"
         );
 
-        // Re-finalizing via resume seals nothing new — the manifest
-        // remembers the already-sealed prefix.
+        // Re-finalizing via resume seals nothing new — the checkpoint
+        // names the already-sealed stream.
         builder.resume_from(&dir).unwrap();
         let (durable, _) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
         let again = durable.segments().unwrap();
@@ -1257,6 +1262,41 @@ mod tests {
         );
         let resumed = builder.resume_from(&dir).unwrap();
         assert_same_dataset(&baseline, &resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_names_the_first_diverging_trace_row() {
+        use rad_core::{TraceBatch, TraceId, TraceObject};
+        use rad_store::CrashSite;
+        let dir = tmpdir("diverge");
+        let builder = CampaignBuilder::new(31).supervised_only();
+        builder
+            .clone()
+            .with_crash_plan(CrashPlan::at(CrashSite::MidRecord, 40))
+            .build_resumable(&dir)
+            .unwrap_err();
+        // Forge the row the crash cut off.
+        let (durable, _) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
+        let at = durable.trace_rows() as usize;
+        let real = builder.build().command().batch().materialize(at);
+        let forged = TraceObject::builder(
+            TraceId(u64::MAX),
+            real.timestamp(),
+            real.device(),
+            real.command().clone(),
+        )
+        .build();
+        durable
+            .append_traces(&TraceBatch::from_traces(&[forged]))
+            .unwrap();
+        drop(durable);
+        let err = builder.resume_from(&dir).unwrap_err();
+        assert!(
+            matches!(&err, RadError::CheckpointMismatch { reason }
+                if reason.contains(&format!("traces row {at} "))),
+            "unexpected error: {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

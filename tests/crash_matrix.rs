@@ -112,27 +112,23 @@ fn assert_identical_bundles(
 }
 
 /// Crash-recovered stores hold an exact prefix of the baseline trace
-/// stream: positions `0..n` each present exactly once, every payload
-/// byte-identical to the baseline trace at that position.
+/// stream: positions `0..n` each present exactly once, every row
+/// identical to the baseline row at that position.
 fn assert_recovered_prefix(dir: &Path, baseline: &rad_workloads::CampaignDataset, tag: &str) {
     let (store, _report) = DurableStore::open(dir, durable_options()).unwrap();
-    let mut docs = store.find("traces", &Filter::all());
-    docs.sort_by_key(|d| d.get("i").and_then(serde_json::Value::as_u64).unwrap());
-    let traces = baseline.command().traces();
-    for (pos, doc) in docs.iter().enumerate() {
-        let idx = doc.get("i").and_then(serde_json::Value::as_u64).unwrap() as usize;
-        assert_eq!(idx, pos, "{tag}: persisted trace positions must be gapless");
-        assert!(
-            idx < traces.len(),
-            "{tag}: recovered trace {idx} was never generated"
-        );
-        let expected = serde_json::to_value(&traces[idx]).unwrap();
-        assert_eq!(
-            doc.get("v"),
-            Some(&expected),
-            "{tag}: recovered trace {idx} differs from the baseline"
-        );
-    }
+    let recovered = store.read_traces().unwrap();
+    let expected = baseline.command().batch();
+    assert!(
+        recovered.len() <= expected.len(),
+        "{tag}: recovered {} rows but only {} were ever generated",
+        recovered.len(),
+        expected.len()
+    );
+    assert_eq!(
+        recovered,
+        expected.slice(0..recovered.len()),
+        "{tag}: the recovered stream must be a gapless, row-identical prefix"
+    );
 }
 
 #[test]
@@ -222,5 +218,37 @@ fn resume_on_a_clean_store_is_idempotent() {
     assert_eq!(built.command().corpus(), once.command().corpus());
     assert_eq!(once.command().corpus(), twice.command().corpus());
     assert_eq!(once.journal(), twice.journal());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The paper's full corpus persists durably. Its final flush, and the
+/// suffix a resume appends, each exceed one WAL record, so both split
+/// into several trace frames.
+#[test]
+fn full_corpus_builds_durably_and_resumes() {
+    let builder = CampaignBuilder::new(SEED);
+    let baseline = builder.build();
+    assert_eq!(baseline.command().len(), 128_785);
+
+    let dir = tmpdir("full-corpus");
+    let built = builder.build_resumable(&dir).unwrap();
+    assert_eq!(built.command().batch(), baseline.command().batch());
+    let _ = fs::remove_dir_all(&dir);
+
+    let err = builder
+        .clone()
+        .with_crash_plan(CrashPlan::at(CrashSite::MidRecord, 60))
+        .build_resumable(&dir)
+        .unwrap_err();
+    assert!(err.to_string().contains("injected crash"), "got: {err}");
+    let (store, _) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
+    let persisted = store.trace_rows();
+    drop(store);
+    assert!(
+        persisted > 0 && persisted < 10_000,
+        "the crash must land among the supervised runs, not after the filler: {persisted} rows"
+    );
+    let resumed = builder.resume_from(&dir).unwrap();
+    assert_eq!(resumed.command().batch(), baseline.command().batch());
     let _ = fs::remove_dir_all(&dir);
 }

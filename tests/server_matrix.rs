@@ -50,7 +50,7 @@ fn durable_counts(data_dir: &Path, tenant: &str) -> (usize, usize) {
     let (store, _) = DurableStore::open(&data_dir.join(tenant), DurableOptions::default())
         .expect("reopen tenant store");
     (
-        store.count("traces", &Filter::all()),
+        store.read_traces().expect("read tenant traces").len(),
         store.count("gaps", &Filter::all()),
     )
 }
@@ -78,6 +78,7 @@ fn kill_mid_campaign_and_resume_loses_and_invents_nothing() {
     let drain = handle.drain().expect("drain reference");
     let ref_issues = drain.tenants[0].issues;
     let (ref_traces, ref_gaps) = durable_counts(&ref_dir, "alice");
+    assert!(ref_traces > 0, "the reference run must persist traces");
 
     // Interrupted: the client link dies after 3 sends (Hello + BeginRun
     // + one Issue), killing the campaign mid-run.
