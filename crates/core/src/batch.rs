@@ -529,13 +529,50 @@ impl TraceBatch {
         out
     }
 
-    /// Copies the contiguous rows `range` into a new batch.
+    /// Copies the contiguous rows `range` into a new batch — one range
+    /// copy per column, no per-row work. Equals
+    /// `select(&range.collect::<Vec<_>>())` row for row: argument
+    /// offsets are rebased to 0 and exception rows renumbered from 0.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds.
+    /// Panics if `range.start > range.end` or `range.end > len()`.
     pub fn slice(&self, range: std::ops::Range<usize>) -> TraceBatch {
-        self.select(&range.collect::<Vec<_>>())
+        let std::ops::Range { start, end } = range;
+        assert!(
+            start <= end && end <= self.len(),
+            "rows {start}..{end} out of bounds (len {})",
+            self.len()
+        );
+        let offsets = &self.arg_offsets()[start..=end];
+        let base = offsets[0];
+        let exceptions = {
+            let first = self
+                .exceptions
+                .partition_point(|(row, _)| (*row as usize) < start);
+            let last = self
+                .exceptions
+                .partition_point(|(row, _)| (*row as usize) < end);
+            self.exceptions[first..last]
+                .iter()
+                .map(|(row, msg)| (row - start as u32, msg.clone()))
+                .collect()
+        };
+        TraceBatch {
+            ids: self.ids[start..end].to_vec(),
+            timestamps_us: self.timestamps_us[start..end].to_vec(),
+            devices: self.devices[start..end].to_vec(),
+            command_tokens: self.command_tokens[start..end].to_vec(),
+            arg_offsets: offsets.iter().map(|o| o - base).collect(),
+            args: self.args[base as usize..offsets[end - start] as usize].to_vec(),
+            modes: self.modes[start..end].to_vec(),
+            return_values: self.return_values[start..end].to_vec(),
+            exceptions,
+            response_times_us: self.response_times_us[start..end].to_vec(),
+            procedures: self.procedures[start..end].to_vec(),
+            run_ids: self.run_ids[start..end].to_vec(),
+            labels: self.labels[start..end].to_vec(),
+        }
     }
 
     /// The first row at which `self` and `other` differ, comparing
@@ -820,6 +857,20 @@ mod tests {
                 batch.get(i).command_type()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_rejects_an_end_past_the_batch() {
+        let batch = TraceBatch::from_traces(&samples());
+        let _ = batch.slice(2..batch.len() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn slice_rejects_an_inverted_range() {
+        let _ = TraceBatch::from_traces(&samples()).slice(3..1);
     }
 
     #[test]

@@ -190,3 +190,41 @@ proptest! {
         prop_assert_eq!(appended.to_traces(), both);
     }
 }
+
+/// An ordered pair of positions in `0..=len`, drawn from two raw
+/// picks, so every sub-range of a batch (empty ones included) can come
+/// up.
+fn ordered(picks: (usize, usize), len: usize) -> (usize, usize) {
+    let (x, y) = (picks.0 % (len + 1), picks.1 % (len + 1));
+    (x.min(y), x.max(y))
+}
+
+proptest! {
+    /// The column-range `slice` equals gathering the same rows with
+    /// `select`: offsets rebased, exception rows renumbered.
+    #[test]
+    fn slice_equals_select_of_its_rows(
+        traces in proptest::collection::vec(arb_trace(), 0..40),
+        picks in (any::<usize>(), any::<usize>()),
+    ) {
+        let batch = TraceBatch::from_traces(&traces);
+        let (a, b) = ordered(picks, batch.len());
+        let rows: Vec<usize> = (a..b).collect();
+        prop_assert_eq!(batch.slice(a..b), batch.select(&rows));
+    }
+
+    /// Slicing composes: a slice of a slice is the slice at the summed
+    /// offsets, and the full range is the batch itself.
+    #[test]
+    fn slice_composes_and_the_full_range_is_identity(
+        traces in proptest::collection::vec(arb_trace(), 0..40),
+        outer in (any::<usize>(), any::<usize>()),
+        inner in (any::<usize>(), any::<usize>()),
+    ) {
+        let batch = TraceBatch::from_traces(&traces);
+        let (a, b) = ordered(outer, batch.len());
+        let (c, d) = ordered(inner, b - a);
+        prop_assert_eq!(batch.slice(a..b).slice(c..d), batch.slice(a + c..a + d));
+        prop_assert_eq!(batch.slice(0..batch.len()), batch);
+    }
+}

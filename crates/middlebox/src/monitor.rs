@@ -17,10 +17,10 @@
 
 use rad_core::{ProcedureKind, RadError, RunId};
 use rad_power::{
-    CurrentProfile, Filtered, PowerSink, PowerSource, ProfileRequest, RecordingMeta,
+    accept_chunked, CurrentProfile, Filtered, PowerSink, ProfileRequest, RecordingMeta,
     TrajectorySegment, Ur3e, DEFAULT_CHUNK_TICKS,
 };
-use rad_store::PowerDataset;
+use rad_store::{PowerDataset, PowerRecording};
 
 /// What one pending recording captured — replayed into telemetry at
 /// drain time.
@@ -225,9 +225,11 @@ impl PowerMonitor {
             .collect()
     }
 
-    /// Synthesizes all pending recordings and streams them into `sink`
-    /// as bounded [`DEFAULT_CHUNK_TICKS`]-tick blocks, finishing the
-    /// sink at the end.
+    /// Synthesizes all pending recordings and streams them into `sink`,
+    /// finishing the sink at the end. Each recording is announced with
+    /// `begin_recording`, then handed over through [`accept_chunked`]:
+    /// no `accept` sees more than [`DEFAULT_CHUNK_TICKS`] ticks, and a
+    /// recording that fits in one chunk is handed over without a copy.
     ///
     /// # Errors
     ///
@@ -235,52 +237,40 @@ impl PowerMonitor {
     pub fn drain_into<S: PowerSink>(self, sink: &mut S) -> Result<(), RadError> {
         for (meta, profile) in self.synthesize() {
             sink.begin_recording(&meta)?;
-            rad_power::BlockSource::new(profile.block(), DEFAULT_CHUNK_TICKS)
-                .drain_into(&mut SinkNoFinish(sink))?;
+            accept_chunked(sink, profile.block(), DEFAULT_CHUNK_TICKS)?;
         }
         sink.finish()
     }
 
     /// Finishes monitoring, yielding the power dataset.
+    ///
+    /// Under the default policy (quiescent ticks stored) every
+    /// synthesized profile moves into the dataset as its recording: the
+    /// telemetry is written once, by synthesis, and never copied. The
+    /// strict policy drops quiescent ticks row by row, so it drains
+    /// through a [`Filtered`] stage into the dataset instead.
     pub fn into_dataset(self) -> PowerDataset {
-        let store_quiescent = self.store_quiescent;
         let mut dataset = PowerDataset::new();
-        let result = if store_quiescent {
-            self.drain_into(&mut dataset)
-        } else {
-            // The strict policy drops quiescent ticks row-by-row.
-            // Filtering the whole stream matches the old per-motion
-            // filter because idle recordings never reach the queue
-            // under this policy.
-            let mut filtered = Filtered::new(&mut dataset, |r: &rad_power::PowerRow<'_>| {
-                !r.is_quiescent()
-            });
-            self.drain_into(&mut filtered)
-        };
-        result.expect("power dataset sinks are infallible");
+        if self.store_quiescent {
+            for (meta, profile) in self.synthesize() {
+                dataset.push(PowerRecording {
+                    procedure: meta.procedure,
+                    run_id: meta.run_id,
+                    description: meta.description,
+                    profile,
+                });
+            }
+            return dataset;
+        }
+        // Filtering the whole stream matches the old per-motion filter
+        // because idle recordings never reach the queue under this
+        // policy.
+        let mut filtered = Filtered::new(&mut dataset, |r: &rad_power::PowerRow<'_>| {
+            !r.is_quiescent()
+        });
+        self.drain_into(&mut filtered)
+            .expect("power dataset sinks are infallible");
         dataset
-    }
-}
-
-/// Forwards accepts/flushes but swallows `finish`, so a per-recording
-/// source drain cannot finish the shared sink early.
-struct SinkNoFinish<'a, S>(&'a mut S);
-
-impl<S: PowerSink> PowerSink for SinkNoFinish<'_, S> {
-    fn accept(&mut self, block: &rad_power::PowerBlock) -> Result<(), RadError> {
-        self.0.accept(block)
-    }
-
-    fn begin_recording(&mut self, meta: &RecordingMeta) -> Result<(), RadError> {
-        self.0.begin_recording(meta)
-    }
-
-    fn flush(&mut self) -> Result<(), RadError> {
-        self.0.flush()
-    }
-
-    fn finish(&mut self) -> Result<(), RadError> {
-        Ok(())
     }
 }
 

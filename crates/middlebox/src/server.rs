@@ -136,7 +136,21 @@ impl SocketStream {
 pub struct SocketTransport {
     reader: Mutex<SocketStream>,
     writer: Mutex<SocketStream>,
+    /// Receive-side state, locked while `reader` is held.
+    recv: Mutex<RecvState>,
 }
+
+/// What `recv` keeps between calls: the read timeout armed on the
+/// socket, so an unchanged timeout costs no system call, and one
+/// receive buffer, so a call neither allocates nor zeroes one.
+#[derive(Debug)]
+struct RecvState {
+    armed: Option<Duration>,
+    buf: Box<[u8]>,
+}
+
+/// Bytes one `recv` reads at most.
+const RECV_BUF_BYTES: usize = 64 * 1024;
 
 impl SocketTransport {
     /// The one constructor every socket goes through, dialed or
@@ -152,6 +166,10 @@ impl SocketTransport {
         Ok(SocketTransport {
             reader: Mutex::new(reader),
             writer: Mutex::new(stream),
+            recv: Mutex::new(RecvState {
+                armed: None,
+                buf: vec![0; RECV_BUF_BYTES].into_boxed_slice(),
+            }),
         })
     }
 
@@ -207,16 +225,19 @@ impl Transport for SocketTransport {
 
     fn recv(&self, timeout: Duration) -> Result<Bytes, RadError> {
         let mut reader = self.reader.lock();
+        let mut state = self.recv.lock();
         // A zero timeout means "block forever" to the OS; clamp to the
         // smallest representable wait instead.
         let timeout = timeout.max(Duration::from_millis(1));
-        reader
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| RadError::Rpc(format!("set_read_timeout: {e}")))?;
-        let mut buf = [0u8; 64 * 1024];
-        match reader.read(&mut buf) {
+        if state.armed != Some(timeout) {
+            reader
+                .set_read_timeout(Some(timeout))
+                .map_err(|e| RadError::Rpc(format!("set_read_timeout: {e}")))?;
+            state.armed = Some(timeout);
+        }
+        match reader.read(&mut state.buf) {
             Ok(0) => Err(RadError::RpcDisconnected("peer closed the socket".into())),
-            Ok(n) => Ok(Bytes::copy_from_slice(&buf[..n])),
+            Ok(n) => Ok(Bytes::copy_from_slice(&state.buf[..n])),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -2138,5 +2159,28 @@ mod tests {
             };
             assert!(stream.nodelay().unwrap(), "accepted socket keeps Nagle on");
         }
+    }
+
+    #[test]
+    fn a_cached_read_timeout_cannot_wedge_a_later_receive() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let transport = SocketTransport::tcp(listener.accept().unwrap().0).unwrap();
+        assert!(
+            matches!(
+                transport.recv(Duration::from_millis(1)),
+                Err(RadError::RpcTimeout(_))
+            ),
+            "a silent socket times out"
+        );
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            peer.write_all(b"late").unwrap();
+            peer
+        });
+        // A stale 1 ms timeout would expire long before the peer writes.
+        let got = transport.recv(Duration::from_secs(5)).unwrap();
+        assert_eq!(&got[..], b"late");
+        drop(late.join().unwrap());
     }
 }

@@ -8,10 +8,11 @@
 //! and [`CountingPowerSink`] are power-specific because they buffer or
 //! inspect f64 lanes rather than trace columns.
 //!
-//! The monitor drains synthesized recordings through a sink stack in
+//! Stored recordings reach a sink stack through [`accept_chunked`] in
 //! bounded chunks (4096 ticks by default, like the trace plane's
-//! 4096-row batches), so a full campaign's power capture never holds
-//! more than one chunk in flight between pipeline stages.
+//! 4096-row batches), so no single hand-off between pipeline stages
+//! carries more than one chunk; a recording that fits in one chunk is
+//! handed over as is.
 
 use rad_core::sink::{first_error, Tee};
 use rad_core::{ProcedureKind, RadError, RunId};
@@ -153,6 +154,44 @@ impl PowerSource for BlockSource<'_> {
         self.cursor = end;
         Ok(Some(out))
     }
+}
+
+/// Hands `block` to `sink` in pieces of at most `chunk` ticks — the one
+/// bounded hand-off of a stored recording.
+///
+/// A block that fits in `chunk` ticks reaches the sink as one `accept`
+/// of the block itself, with no copy. A longer block arrives as
+/// consecutive `chunk`-tick pieces (the last may be shorter), copied
+/// through one reused buffer. An empty block reaches no `accept`.
+/// Neither `begin_recording` nor `finish` is called: the caller owns
+/// the recording boundaries.
+///
+/// # Errors
+///
+/// Propagates the first sink error; later pieces are not delivered.
+///
+/// # Panics
+///
+/// Panics if `chunk` is zero.
+pub fn accept_chunked<S: PowerSink + ?Sized>(
+    sink: &mut S,
+    block: &PowerBlock,
+    chunk: usize,
+) -> Result<(), RadError> {
+    assert!(chunk > 0, "chunk size must be positive");
+    if block.is_empty() {
+        return Ok(());
+    }
+    if block.len() <= chunk {
+        return sink.accept(block);
+    }
+    let mut piece = PowerBlock::with_capacity(chunk);
+    for start in (0..block.len()).step_by(chunk) {
+        piece.clear();
+        piece.append_range(block, start, block.len().min(start + chunk));
+        sink.accept(&piece)?;
+    }
+    Ok(())
 }
 
 impl<A: PowerSink, B: PowerSink> PowerSink for Tee<A, B> {
@@ -433,6 +472,58 @@ mod tests {
         assert_eq!(out, input);
         assert_eq!(counter.blocks, 3);
         assert_eq!(counter.max_block_ticks, 4);
+    }
+
+    /// Keeps every accepted block as it arrived.
+    #[derive(Default)]
+    struct Pieces(Vec<PowerBlock>);
+
+    impl PowerSink for Pieces {
+        fn accept(&mut self, block: &PowerBlock) -> Result<(), RadError> {
+            self.0.push(block.clone());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn accept_chunked_hands_a_fitting_block_over_whole() {
+        let input = ticks(5, 0.0);
+        for chunk in [5, 6, usize::MAX] {
+            let mut sink = Pieces::default();
+            accept_chunked(&mut sink, &input, chunk).unwrap();
+            assert_eq!(sink.0, vec![input.clone()], "chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn accept_chunked_splits_a_longer_block_into_bounded_pieces() {
+        let input = ticks(11, 0.0);
+        for chunk in [1, 2, 3, 4, 10] {
+            let mut sink = Pieces::default();
+            accept_chunked(&mut sink, &input, chunk).unwrap();
+            assert_eq!(sink.0.len(), input.len().div_ceil(chunk), "chunk={chunk}");
+            assert!(sink.0.iter().all(|p| !p.is_empty() && p.len() <= chunk));
+            let mut joined = PowerBlock::new();
+            for piece in &sink.0 {
+                joined.append(piece);
+            }
+            assert_eq!(joined, input, "chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn accept_chunked_delivers_nothing_for_an_empty_block() {
+        for chunk in [1, 4, usize::MAX] {
+            let mut counter = CountingPowerSink::new();
+            accept_chunked(&mut counter, &PowerBlock::new(), chunk).unwrap();
+            assert_eq!(counter.blocks, 0, "chunk={chunk}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn accept_chunked_rejects_a_zero_chunk() {
+        let _ = accept_chunked(&mut CountingPowerSink::new(), &ticks(3, 0.0), 0);
     }
 
     #[test]

@@ -86,7 +86,7 @@ use rad_core::{
     DeviceId, DeviceKind, Label, ProcedureKind, RadError, RunId, TraceBatch, TraceColumns,
     TraceMode, TraceSource,
 };
-use rad_power::{BlockSource, PowerBlock, PowerSample, PowerSink, PowerSource, RecordingMeta};
+use rad_power::{accept_chunked, PowerBlock, PowerSample, PowerSink, PowerSource, RecordingMeta};
 
 use crate::wal::{atomic_write_stream, crc32, sync_dir, CrashInjector, QuarantinedSegment};
 
@@ -1799,11 +1799,12 @@ impl PowerScan {
     /// Replays every queued recording through `sink` with the same
     /// boundary discipline the live monitor follows: each recording's
     /// metadata is announced via `begin_recording` before its samples
-    /// arrive, chunked into at most `chunk`-tick blocks, and the sink
-    /// is finished once the scan is drained. The plain [`PowerSource`]
-    /// impl drops the metadata; streaming detectors need it to segment
-    /// their per-recording state, so sealed campaigns replay through
-    /// this path.
+    /// arrive through [`accept_chunked`] (the decoded block itself when
+    /// it fits in `chunk` ticks, `chunk`-tick pieces otherwise), and the
+    /// sink is finished once the scan is drained. The plain
+    /// [`PowerSource`] impl drops the metadata; streaming detectors need
+    /// it to segment their per-recording state, so sealed campaigns
+    /// replay through this path.
     ///
     /// # Errors
     ///
@@ -1811,14 +1812,11 @@ impl PowerScan {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is zero.
+    /// Panics if `chunk` is zero and the scan holds a recording.
     pub fn replay_into<S: PowerSink>(self, sink: &mut S, chunk: usize) -> Result<(), RadError> {
         for (meta, block) in self.recordings {
             sink.begin_recording(&meta)?;
-            let mut source = BlockSource::new(&block, chunk);
-            while let Some(piece) = source.next_block()? {
-                sink.accept(&piece)?;
-            }
+            accept_chunked(sink, &block, chunk)?;
         }
         sink.finish()
     }

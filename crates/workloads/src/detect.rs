@@ -21,7 +21,7 @@ use rad_core::{
     spec, Alert, Command, CommandType, DeviceId, DeviceKind, Label, ProcedureKind, RadError, RunId,
     SimInstant, TraceId, TraceObject, TraceSink, TraceSource,
 };
-use rad_power::{BlockSource, PowerSink, RecordingMeta};
+use rad_power::{accept_chunked, PowerSink, RecordingMeta};
 use rad_store::export::export_rad_alerted;
 use rad_store::segment::SegmentSet;
 use std::path::Path;
@@ -217,6 +217,13 @@ fn hand_wired_spec(power: PowerAlertConfig, chunk: usize) -> DetectSpec {
 /// the scenario plane's detection path. The hand-wired entry points
 /// are thin wrappers over this.
 ///
+/// Both stages read the dataset in place: the perplexity stage gets
+/// `spec.chunk`-row slices of the command dataset's columnar batch (no
+/// row is materialized), and every power recording reaches the stats
+/// stage through [`accept_chunked`] — whole when it fits in
+/// `spec.chunk` ticks, in `spec.chunk`-tick pieces otherwise. No stage
+/// call sees more than `spec.chunk` rows or ticks.
+///
 /// # Errors
 ///
 /// Propagates the first stage error.
@@ -229,11 +236,11 @@ pub fn detect_campaign_spec(
     detector: &FittedDetector<CommandType>,
     spec: &DetectSpec,
 ) -> Result<DetectionOutcome, RadError> {
+    assert!(spec.chunk > 0, "chunk size must be positive");
     let mut stage = spec.perplexity.build(detector, Vec::new());
-    let traces = dataset.command().traces();
-    let mut source = SliceSource::new(&traces, spec.chunk);
-    while let Some(batch) = source.next_batch()? {
-        stage.accept(&batch)?;
+    let batch = dataset.command().batch();
+    for start in (0..batch.len()).step_by(spec.chunk) {
+        stage.accept(&batch.slice(start..batch.len().min(start + spec.chunk)))?;
     }
     stage.finish()?;
     let runs = stage.completed_runs().to_vec();
@@ -246,10 +253,7 @@ pub fn detect_campaign_spec(
             run_id: recording.run_id,
             description: recording.description.clone(),
         })?;
-        let mut blocks = BlockSource::new(recording.profile.block(), spec.chunk);
-        while let Some(piece) = rad_power::PowerSource::next_block(&mut blocks)? {
-            watt.accept(&piece)?;
-        }
+        accept_chunked(&mut watt, recording.profile.block(), spec.chunk)?;
     }
     watt.finish()?;
     let recordings = watt.recordings().to_vec();

@@ -249,6 +249,51 @@ fn campaign_detection_equals_segment_replay_detection() {
 }
 
 #[test]
+fn in_memory_detection_equals_segment_replay_at_every_chunk_size() {
+    let campaign = campaign();
+    let detector = fit_detector(&campaign, 2).unwrap();
+
+    let dir = tmpdir("in-memory-chunks");
+    let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
+    writer.seal_traces(campaign.command().batch()).unwrap();
+    for recording in campaign.power().recordings() {
+        writer
+            .seal_power(
+                &RecordingMeta {
+                    procedure: recording.procedure,
+                    run_id: recording.run_id,
+                    description: recording.description.clone(),
+                },
+                recording.profile.block(),
+            )
+            .unwrap();
+    }
+    let set = SegmentSet::open(&dir).unwrap();
+    let replay = detect_segments(&set, &detector, PowerAlertConfig::default(), 256).unwrap();
+
+    // Sizes 1 and 7 split the trace batch and every recording longer
+    // than 7 ticks; the last size hands the batch and every recording
+    // over whole.
+    let longest = campaign
+        .power()
+        .recordings()
+        .iter()
+        .map(|r| r.profile.len())
+        .max()
+        .unwrap();
+    assert!(longest > 7, "some recording is split at chunk 7");
+    let whole = campaign.command().len().max(longest) + 1;
+    for chunk in [1, 7, 256, rad::power::DEFAULT_CHUNK_TICKS, whole] {
+        let live =
+            detect_campaign(&campaign, &detector, PowerAlertConfig::default(), chunk).unwrap();
+        assert_eq!(live.alerts, replay.alerts, "chunk={chunk}: alerts");
+        assert_eq!(live.runs, replay.runs, "chunk={chunk}: run scores");
+        assert_eq!(live.recordings, replay.recordings, "chunk={chunk}: power");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn live_teed_alerts_equal_segment_replay_alerts() {
     // A detector fit on one campaign...
     let campaign = campaign();
