@@ -11,16 +11,46 @@
 //! the trajectory and the noise seed (derived from the recording
 //! counter at call time, so the seed stream is identical to the old
 //! synthesize-on-record monitor). Synthesis happens once, at drain
-//! time, which lets independent motion recordings fan out across cores
-//! via [`Ur3e::current_profiles_par`] while staying bit-identical to
+//! time, in batches of consecutive recordings, which lets independent
+//! motion recordings fan out across cores via
+//! [`Ur3e::current_profiles_par`] while staying bit-identical to
 //! sequential capture.
 
+use std::ops::Range;
+
 use rad_core::{ProcedureKind, RadError, RunId};
+use rad_power::arm::MIN_SYNTH_TICKS_PER_THREAD;
 use rad_power::{
     accept_chunked, CurrentProfile, Filtered, PowerSink, ProfileRequest, RecordingMeta,
     TrajectorySegment, Ur3e, DEFAULT_CHUNK_TICKS,
 };
 use rad_store::{PowerDataset, PowerRecording};
+
+/// Ticks of telemetry one drain batch synthesizes: twice the fan-out
+/// threshold per worker, so a batch that stops short of its budget by
+/// less than one worker's threshold still fans out over every worker.
+fn batch_ticks() -> usize {
+    2 * MIN_SYNTH_TICKS_PER_THREAD * rad_core::par::max_workers()
+}
+
+/// Splits recordings of the given tick counts into consecutive runs of
+/// at most `budget` ticks, in order. A recording larger than the budget
+/// forms a run of its own.
+fn batches(ticks: &[usize], budget: usize) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let (mut start, mut held) = (0, 0);
+    for (i, &t) in ticks.iter().enumerate() {
+        if i > start && held + t > budget {
+            runs.push(start..i);
+            (start, held) = (i, 0);
+        }
+        held += t;
+    }
+    if start < ticks.len() {
+        runs.push(start..ticks.len());
+    }
+    runs
+}
 
 /// What one pending recording captured — replayed into telemetry at
 /// drain time.
@@ -44,6 +74,16 @@ struct Pending {
     description: String,
     seed: u64,
     capture: Capture,
+}
+
+impl Pending {
+    /// Ticks its synthesized profile will hold.
+    fn ticks(&self) -> usize {
+        match &self.capture {
+            Capture::Motion { segments, .. } => Ur3e::profile_ticks(segments),
+            Capture::Idle { ticks, .. } => *ticks,
+        }
+    }
 }
 
 /// Accumulates UR3e telemetry recordings into a [`PowerDataset`].
@@ -184,12 +224,11 @@ impl PowerMonitor {
         self.pending.is_empty()
     }
 
-    /// Synthesizes every pending recording, fanning independent motion
-    /// captures out across cores. Results are merged back in recording
-    /// order, so output is bit-identical regardless of worker count.
-    fn synthesize(&self) -> Vec<(RecordingMeta, CurrentProfile)> {
-        let requests: Vec<ProfileRequest> = self
-            .pending
+    /// Synthesizes `pending`, fanning independent motion captures out
+    /// across cores. Results are merged back in recording order, so
+    /// output is bit-identical regardless of worker count.
+    fn synthesize(&self, pending: &[Pending]) -> Vec<(RecordingMeta, CurrentProfile)> {
+        let requests: Vec<ProfileRequest> = pending
             .iter()
             .filter_map(|p| match &p.capture {
                 Capture::Motion {
@@ -204,7 +243,7 @@ impl PowerMonitor {
             })
             .collect();
         let mut motions = self.arm.current_profiles_par(&requests).into_iter();
-        self.pending
+        pending
             .iter()
             .map(|p| {
                 let profile = match &p.capture {
@@ -225,20 +264,48 @@ impl PowerMonitor {
             .collect()
     }
 
+    /// Synthesizes the pending recordings in order, in batches of at
+    /// most `budget` ticks, and hands each recording to `each` before
+    /// the next batch is synthesized. At most one batch is held.
+    fn synthesize_batches(
+        &self,
+        budget: usize,
+        mut each: impl FnMut(RecordingMeta, CurrentProfile) -> Result<(), RadError>,
+    ) -> Result<(), RadError> {
+        let ticks: Vec<usize> = self.pending.iter().map(Pending::ticks).collect();
+        for run in batches(&ticks, budget) {
+            for (meta, profile) in self.synthesize(&self.pending[run]) {
+                each(meta, profile)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Synthesizes all pending recordings and streams them into `sink`,
     /// finishing the sink at the end. Each recording is announced with
     /// `begin_recording`, then handed over through [`accept_chunked`]:
     /// no `accept` sees more than [`DEFAULT_CHUNK_TICKS`] ticks, and a
     /// recording that fits in one chunk is handed over without a copy.
     ///
+    /// Recordings are synthesized in batches of consecutive recordings
+    /// (twice the synthesis fan-out threshold per worker in ticks, or
+    /// one larger recording), and each batch is handed over before the
+    /// next is synthesized, so the drain holds one batch of telemetry,
+    /// not the whole plane.
+    ///
     /// # Errors
     ///
     /// Propagates the first sink error.
     pub fn drain_into<S: PowerSink>(self, sink: &mut S) -> Result<(), RadError> {
-        for (meta, profile) in self.synthesize() {
+        self.drain_batched(sink, batch_ticks())
+    }
+
+    /// [`PowerMonitor::drain_into`] with an explicit batch budget.
+    fn drain_batched<S: PowerSink>(self, sink: &mut S, budget: usize) -> Result<(), RadError> {
+        self.synthesize_batches(budget, |meta, profile| {
             sink.begin_recording(&meta)?;
-            accept_chunked(sink, profile.block(), DEFAULT_CHUNK_TICKS)?;
-        }
+            accept_chunked(sink, profile.block(), DEFAULT_CHUNK_TICKS)
+        })?;
         sink.finish()
     }
 
@@ -252,14 +319,17 @@ impl PowerMonitor {
     pub fn into_dataset(self) -> PowerDataset {
         let mut dataset = PowerDataset::new();
         if self.store_quiescent {
-            for (meta, profile) in self.synthesize() {
+            // The dataset keeps every profile anyway, so one batch.
+            self.synthesize_batches(usize::MAX, |meta, profile| {
                 dataset.push(PowerRecording {
                     procedure: meta.procedure,
                     run_id: meta.run_id,
                     description: meta.description,
                     profile,
                 });
-            }
+                Ok(())
+            })
+            .expect("moving into a dataset is infallible");
             return dataset;
         }
         // Filtering the whole stream matches the old per-motion filter
@@ -386,6 +456,70 @@ mod tests {
 
         let expected = Ur3e::new().current_profile(&[seg()], 0.0, 3u64.wrapping_add(1));
         assert_eq!(survivor.recordings()[0].profile, expected);
+    }
+
+    #[test]
+    fn batches_keep_order_and_budget_and_isolate_oversized_recordings() {
+        let ticks = [4, 3, 3, 12, 1, 9, 2, 2];
+        let runs = batches(&ticks, 10);
+        assert_eq!(runs, vec![0..3, 3..4, 4..6, 6..8]);
+        // Consecutive, in order, covering every recording once.
+        assert_eq!(runs.first().unwrap().start, 0);
+        assert_eq!(runs.last().unwrap().end, ticks.len());
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        for run in &runs {
+            let held: usize = ticks[run.clone()].iter().sum();
+            assert!(
+                held <= 10 || run.len() == 1,
+                "{run:?} holds {held} ticks over the budget"
+            );
+        }
+        assert_eq!(batches(&[], 10), Vec::<Range<usize>>::new());
+        assert_eq!(batches(&[25], 10), vec![0..1]);
+        assert_eq!(batches(&[5, 5, 5], usize::MAX), vec![0..3]);
+    }
+
+    #[test]
+    fn batched_drain_equals_the_dataset_recording_by_recording() {
+        fn session() -> PowerMonitor {
+            let mut mon = PowerMonitor::new(5);
+            for i in 0..7 {
+                let legs: Vec<_> = (0..=i % 3).map(|_| seg()).collect();
+                mon.record_motion(
+                    ProcedureKind::PayloadSweep,
+                    RunId(i),
+                    &format!("payload={i}"),
+                    &legs,
+                    0.1 * f64::from(i),
+                );
+                if i % 2 == 0 {
+                    mon.record_idle(ProcedureKind::Unknown, RunId(i), Ur3e::named_pose(2), 40);
+                }
+            }
+            mon
+        }
+        let one_leg = Ur3e::profile_ticks(&[seg()]);
+        let budget = 2 * one_leg;
+        let mon = session();
+        let ticks: Vec<usize> = mon.pending.iter().map(Pending::ticks).collect();
+        assert!(
+            batches(&ticks, budget).len() >= 3,
+            "the drain spans batches"
+        );
+
+        let mut drained = PowerDataset::new();
+        mon.drain_batched(&mut drained, budget).unwrap();
+        let direct = session().into_dataset();
+        assert_eq!(drained.recordings().len(), direct.recordings().len());
+        for (a, b) in drained.recordings().iter().zip(direct.recordings()) {
+            assert_eq!(
+                (a.procedure, a.run_id, &a.description),
+                (b.procedure, b.run_id, &b.description)
+            );
+            assert_eq!(a.profile, b.profile, "{}", a.description);
+        }
     }
 
     #[test]

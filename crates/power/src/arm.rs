@@ -3,14 +3,14 @@
 //! [`Ur3e`] drives the trapezoidal [`TrajectorySegment`] planner through
 //! the [`Ur3eDynamics`] torque/current model and emits 25 Hz telemetry
 //! — the simulated counterpart of RATracer's power monitor (Fig. 3,
-//! bottom). Synthesis is columnar: each tick writes only the ~50
-//! [`PowerBlock`] lanes that vary during a motion (kinematics,
-//! torques, currents, noise), evaluates the dynamics once per tick
-//! (deriving both the torque and current lanes from the same torque
-//! vector), and bulk-fills the constant lanes afterwards. The
-//! row-oriented loop is kept as [`Ur3e::current_profile_rows`] — the
-//! bench baseline and golden oracle; the columnar path is bitwise
-//! identical to it.
+//! bottom). Synthesis is columnar: it declares the 67 lanes a motion
+//! holds constant, so the [`PowerBlock`] stores each of their distinct
+//! values once, and writes only the 55 lanes that vary (kinematics,
+//! torques, currents, noise) in place, evaluating the dynamics once per
+//! tick (deriving both the torque and current lanes from the same
+//! torque vector). The row-oriented loop is kept as
+//! [`Ur3e::current_profile_rows`] — the bench baseline and golden
+//! oracle; the columnar path is bitwise identical to it.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::block::{lane, PowerBlock};
 use crate::dynamics::Ur3eDynamics;
 use crate::sample::PowerSample;
-use crate::trajectory::TrajectorySegment;
+use crate::trajectory::{TrajectoryPoint, TrajectorySegment};
 use crate::{JOINTS, TICK_SECONDS};
 
 /// Measurement noise applied to actual currents (A, uniform half-width).
@@ -31,7 +31,20 @@ const POSITION_NOISE_RAD: f64 = 2e-4;
 /// [`Ur3e::current_profiles_par`] fans out. Columnar synthesis runs at
 /// roughly 100–200 ns/tick, so 8192 ticks is ~1–2 ms of work per
 /// thread — an order of magnitude above scoped-thread spawn/join cost.
-const MIN_SYNTH_TICKS_PER_THREAD: usize = 8192;
+pub const MIN_SYNTH_TICKS_PER_THREAD: usize = 8192;
+
+/// Reads one six-joint field of a trajectory point.
+type PointField = fn(&TrajectoryPoint) -> [f64; JOINTS];
+
+/// The purely kinematic six-joint lane groups, each with the point
+/// field it copies.
+const KINEMATIC_LANES: [(usize, PointField); 5] = [
+    (lane::Q_TARGET, |p| p.q),
+    (lane::QD_TARGET, |p| p.qd),
+    (lane::QD_ACTUAL, |p| p.qd),
+    (lane::QDD_TARGET, |p| p.qdd),
+    (lane::QDD_ACTUAL, |p| p.qdd),
+];
 
 /// The simulated UR3e power plant.
 ///
@@ -106,7 +119,7 @@ impl Ur3e {
 
     /// Ticks a profile for `segments` will contain (matches
     /// `sample_at`'s `ceil + 1` per segment).
-    fn profile_ticks(segments: &[TrajectorySegment]) -> usize {
+    pub fn profile_ticks(segments: &[TrajectorySegment]) -> usize {
         segments
             .iter()
             .map(|s| (s.duration() / TICK_SECONDS).ceil() as usize + 1)
@@ -117,10 +130,11 @@ impl Ur3e {
     /// back-to-back while carrying `payload_kg`, with measurement noise
     /// derived from `seed`.
     ///
-    /// Columnar synthesis: per tick, the dynamics are evaluated once
-    /// and scattered into the varying lanes; the ~70 lanes that
-    /// `PowerSample::quiescent` holds constant during a motion are
-    /// bulk-filled afterwards. Bitwise identical to
+    /// Columnar synthesis: the block is built with the lanes that
+    /// `PowerSample::quiescent` holds constant during a motion declared
+    /// as repeated, so each distinct constant is stored once; per tick,
+    /// the dynamics are evaluated once and scattered into the varying
+    /// lanes in place. Bitwise identical to
     /// [`Ur3e::current_profile_rows`].
     pub fn current_profile(
         &self,
@@ -129,10 +143,23 @@ impl Ur3e {
         seed: u64,
     ) -> CurrentProfile {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut block = PowerBlock::with_capacity(Self::profile_ticks(segments));
+        let mut block = PowerBlock::with_repeated_lanes(
+            Self::profile_ticks(segments),
+            constant_motion_lanes(payload_kg),
+        );
+        let mut lanes = block.owned_lanes_mut();
+        let [timestamp] = varying(&mut lanes, lane::TIMESTAMP);
+        let current_target: [_; JOINTS] = varying(&mut lanes, lane::CURRENT_TARGET);
+        let moment: [_; JOINTS] = varying(&mut lanes, lane::MOMENT_ACTUAL);
+        let q_actual: [_; JOINTS] = varying(&mut lanes, lane::Q_ACTUAL);
+        let current_actual: [_; JOINTS] = varying(&mut lanes, lane::CURRENT_ACTUAL);
+        let mut kinematic =
+            KINEMATIC_LANES.map(|(base, field)| (varying::<JOINTS>(&mut lanes, base), field));
         let mut t_offset = 0.0;
+        let mut first = 0;
         for segment in segments {
             let points = segment.sample_at(TICK_SECONDS);
+            let ticks = first..first + points.len();
             // Tick-major pass for everything RNG- or dynamics-ordered:
             // the dynamics are evaluated once per tick (the row loop
             // evaluates them twice), and the noise draws interleave
@@ -141,33 +168,33 @@ impl Ur3e {
             // bit-identity. Torque, ideal-current, and noise values
             // go straight into their final lanes (25 write streams);
             // the purely kinematic lanes are filled lane-major below,
-            // where each is one sequential extend over the points.
-            let lanes = block.lanes_mut();
-            for point in &points {
+            // where each is one sequential pass over the points.
+            for (tick, point) in ticks.clone().zip(&points) {
                 let tau = self.dynamics.torques(point, payload_kg);
                 let ideal = self.dynamics.currents_from_torques(&tau);
-                lanes[lane::TIMESTAMP].push(t_offset + point.t);
+                timestamp[tick] = t_offset + point.t;
                 for j in 0..JOINTS {
-                    lanes[lane::CURRENT_TARGET + j].push(ideal[j]);
-                    lanes[lane::MOMENT_ACTUAL + j].push(tau.0[j]);
+                    current_target[j][tick] = ideal[j];
+                    moment[j][tick] = tau.0[j];
                 }
                 for j in 0..JOINTS {
-                    lanes[lane::Q_ACTUAL + j]
-                        .push(point.q[j] + rng.gen_range(-POSITION_NOISE_RAD..POSITION_NOISE_RAD));
-                    lanes[lane::CURRENT_ACTUAL + j]
-                        .push(ideal[j] + rng.gen_range(-CURRENT_NOISE_A..CURRENT_NOISE_A));
+                    q_actual[j][tick] =
+                        point.q[j] + rng.gen_range(-POSITION_NOISE_RAD..POSITION_NOISE_RAD);
+                    current_actual[j][tick] =
+                        ideal[j] + rng.gen_range(-CURRENT_NOISE_A..CURRENT_NOISE_A);
                 }
             }
-            for j in 0..JOINTS {
-                lanes[lane::Q_TARGET + j].extend(points.iter().map(|p| p.q[j]));
-                lanes[lane::QD_TARGET + j].extend(points.iter().map(|p| p.qd[j]));
-                lanes[lane::QD_ACTUAL + j].extend(points.iter().map(|p| p.qd[j]));
-                lanes[lane::QDD_TARGET + j].extend(points.iter().map(|p| p.qdd[j]));
-                lanes[lane::QDD_ACTUAL + j].extend(points.iter().map(|p| p.qdd[j]));
+            for (group, field) in &mut kinematic {
+                for (j, dst) in group.iter_mut().enumerate() {
+                    for (v, p) in dst[ticks.clone()].iter_mut().zip(&points) {
+                        *v = field(p)[j];
+                    }
+                }
             }
+            first = ticks.end;
             t_offset += segment.duration();
         }
-        fill_constant_motion_lanes(&mut block, payload_kg);
+        debug_assert_eq!(first, block.len(), "profile_ticks matches sample_at");
         CurrentProfile { block }
     }
 
@@ -213,7 +240,8 @@ impl Ur3e {
 
     /// Simulates `ticks` of quiescent telemetry with the arm parked at
     /// `pose` (used to model the paper's quiescent-period storage
-    /// policy).
+    /// policy). Only the timestamp and the six noisy actual currents
+    /// vary; every other lane is declared repeated.
     pub fn quiescent_profile(
         &self,
         pose: [f64; JOINTS],
@@ -221,30 +249,29 @@ impl Ur3e {
         seed: u64,
     ) -> CurrentProfile {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut block = PowerBlock::with_capacity(ticks);
-        {
-            let lanes = block.lanes_mut();
-            for i in 0..ticks {
-                lanes[lane::TIMESTAMP].push(i as f64 * TICK_SECONDS);
-                for j in 0..JOINTS {
-                    lanes[lane::CURRENT_ACTUAL + j].push(
-                        self.dynamics.idle_current[j]
-                            + rng.gen_range(-CURRENT_NOISE_A..CURRENT_NOISE_A),
-                    );
-                }
-            }
-            for j in 0..JOINTS {
-                lanes[lane::Q_TARGET + j].resize(ticks, pose[j]);
-                lanes[lane::Q_ACTUAL + j].resize(ticks, pose[j]);
-                lanes[lane::QD_TARGET + j].resize(ticks, 0.0);
-                lanes[lane::QD_ACTUAL + j].resize(ticks, 0.0);
-                lanes[lane::QDD_TARGET + j].resize(ticks, 0.0);
-                lanes[lane::QDD_ACTUAL + j].resize(ticks, 0.0);
-                lanes[lane::CURRENT_TARGET + j].resize(ticks, 0.0);
-                lanes[lane::MOMENT_ACTUAL + j].resize(ticks, 0.0);
+        let parked = (0..JOINTS).flat_map(|j| {
+            [
+                (lane::Q_TARGET + j, pose[j]),
+                (lane::Q_ACTUAL + j, pose[j]),
+                (lane::QD_TARGET + j, 0.0),
+                (lane::QD_ACTUAL + j, 0.0),
+                (lane::QDD_TARGET + j, 0.0),
+                (lane::QDD_ACTUAL + j, 0.0),
+                (lane::CURRENT_TARGET + j, 0.0),
+                (lane::MOMENT_ACTUAL + j, 0.0),
+            ]
+        });
+        let mut block =
+            PowerBlock::with_repeated_lanes(ticks, parked.chain(constant_motion_lanes(0.0)));
+        let mut lanes = block.owned_lanes_mut();
+        let [timestamp] = varying(&mut lanes, lane::TIMESTAMP);
+        let mut current_actual: [_; JOINTS] = varying(&mut lanes, lane::CURRENT_ACTUAL);
+        for i in 0..ticks {
+            timestamp[i] = i as f64 * TICK_SECONDS;
+            for (series, idle) in current_actual.iter_mut().zip(self.dynamics.idle_current) {
+                series[i] = idle + rng.gen_range(-CURRENT_NOISE_A..CURRENT_NOISE_A);
             }
         }
-        fill_constant_motion_lanes(&mut block, 0.0);
         CurrentProfile { block }
     }
 
@@ -322,39 +349,55 @@ pub struct ProfileRequest {
     pub seed: u64,
 }
 
-/// Bulk-fills the lanes that [`PowerSample::quiescent`] holds constant
-/// during a motion, out to the block's tick count. Values mirror the
-/// `quiescent` constructor (the row path's starting point), so the
-/// columnar result stays bitwise identical to the row path.
-fn fill_constant_motion_lanes(block: &mut PowerBlock, payload_kg: f64) {
-    let ticks = block.len();
-    let lanes = block.lanes_mut();
-    let mut fill = |l: usize, v: f64| lanes[l].resize(ticks, v);
-    for j in 0..JOINTS {
-        fill(lane::JOINT_TEMPERATURE + j, 28.0);
-        fill(lane::JOINT_VOLTAGE + j, 48.0);
-        fill(lane::JOINT_MODE + j, 255.0);
-    }
+/// Takes the `N` consecutive varying lanes from `base` out of
+/// [`PowerBlock::owned_lanes_mut`]'s array.
+///
+/// # Panics
+///
+/// Panics if one of them was declared repeated or was already taken.
+fn varying<'a, const N: usize>(
+    lanes: &mut [Option<&'a mut [f64]>],
+    base: usize,
+) -> [&'a mut [f64]; N] {
+    std::array::from_fn(|j| {
+        lanes[base + j]
+            .take()
+            .expect("a varying lane owns its slot")
+    })
+}
+
+/// The lanes that [`PowerSample::quiescent`] holds constant during a
+/// motion, with their values: the one list both synthesis paths
+/// declare as repeated. Values mirror the `quiescent` constructor (the
+/// row path's starting point), so the columnar result stays bitwise
+/// identical to the row path.
+fn constant_motion_lanes(payload_kg: f64) -> impl Iterator<Item = (usize, f64)> {
+    let joints = (0..JOINTS).flat_map(|j| {
+        [
+            (lane::JOINT_TEMPERATURE + j, 28.0),
+            (lane::JOINT_VOLTAGE + j, 48.0),
+            (lane::JOINT_MODE + j, 255.0),
+        ]
+    });
     // All five TCP vectors and both elbow vectors are zero.
-    for l in lane::TCP_POSE_TARGET..lane::TOOL_ACCELEROMETER {
-        fill(l, 0.0);
-    }
-    fill(lane::TOOL_ACCELEROMETER, 0.0);
-    fill(lane::TOOL_ACCELEROMETER + 1, 0.0);
-    fill(lane::TOOL_ACCELEROMETER + 2, -9.81);
-    for l in lane::ELBOW_POSITION..lane::ROBOT_VOLTAGE {
-        fill(l, 0.0);
-    }
-    fill(lane::ROBOT_VOLTAGE, 48.0);
-    fill(lane::ROBOT_CURRENT, 0.5);
-    fill(lane::PAYLOAD_MASS, payload_kg);
-    fill(lane::SPEED_SCALING, 1.0);
-    fill(lane::DIGITAL_INPUTS, 0.0);
-    fill(lane::DIGITAL_OUTPUTS, 0.0);
-    fill(lane::SAFETY_STATUS, 1.0);
-    fill(lane::RUNTIME_STATE, 1.0);
-    fill(lane::ROBOT_MODE, 7.0);
-    fill(lane::TOOL_OUTPUT_VOLTAGE, 0.0);
+    let zeros = (lane::TCP_POSE_TARGET..lane::TOOL_ACCELEROMETER)
+        .chain(lane::ELBOW_POSITION..lane::ROBOT_VOLTAGE)
+        .map(|l| (l, 0.0));
+    joints.chain(zeros).chain([
+        (lane::TOOL_ACCELEROMETER, 0.0),
+        (lane::TOOL_ACCELEROMETER + 1, 0.0),
+        (lane::TOOL_ACCELEROMETER + 2, -9.81),
+        (lane::ROBOT_VOLTAGE, 48.0),
+        (lane::ROBOT_CURRENT, 0.5),
+        (lane::PAYLOAD_MASS, payload_kg),
+        (lane::SPEED_SCALING, 1.0),
+        (lane::DIGITAL_INPUTS, 0.0),
+        (lane::DIGITAL_OUTPUTS, 0.0),
+        (lane::SAFETY_STATUS, 1.0),
+        (lane::RUNTIME_STATE, 1.0),
+        (lane::ROBOT_MODE, 7.0),
+        (lane::TOOL_OUTPUT_VOLTAGE, 0.0),
+    ])
 }
 
 /// A recorded 25 Hz telemetry stream, stored columnar.
@@ -443,7 +486,7 @@ impl CurrentProfile {
         let offset = self.duration();
         let start = self.block.len();
         self.block.append(&other.block);
-        for t in &mut self.block.lanes_mut()[lane::TIMESTAMP][start..] {
+        for t in &mut self.block.lane_mut(lane::TIMESTAMP)[start..] {
             *t += offset;
         }
     }

@@ -2,11 +2,19 @@
 //!
 //! [`PowerBlock`] is the power-plane counterpart of `rad_core`'s
 //! `TraceBatch`: each of the 122 physical properties of a
-//! [`PowerSample`] becomes one contiguous `Vec<f64>` lane, tick-major.
-//! A correlation over a joint-current series then reads one dense lane
-//! instead of gathering a field out of 976-byte rows, and synthesis
-//! writes only the ~50 lanes that actually vary during a motion while
-//! bulk-filling the constant ones.
+//! [`PowerSample`] is one contiguous `f64` lane, tick-major. A
+//! correlation over a joint-current series then reads one dense lane
+//! instead of gathering a field out of 976-byte rows.
+//!
+//! A block keeps all its lanes in one lane-major slab, and a slot map
+//! sends each lane to its place in the slab. Lanes declared to repeat
+//! one value ([`PowerBlock::with_repeated_lanes`]) share a slot with the
+//! other lanes repeating the same bits. Synthesis declares the 67 lanes
+//! a motion holds constant and writes only the 55 that vary, so a
+//! motion block stores at most 64 series instead of 122, in one
+//! allocation. Readers never see the sharing, and every method that
+//! appends, clears or writes a shared lane gives each lane its own slot
+//! first.
 //!
 //! Lane order is pinned to [`PowerSample::to_row`] (declaration order),
 //! so `block.lane(l)[i] == samples[i].to_row()[l]` — the CSV column
@@ -132,7 +140,35 @@ pub mod lane {
     }
 }
 
+/// Number of lanes in a block, one per [`PowerSample`] property.
+const LANES: usize = PowerSample::FIELD_COUNT;
+
+// The slot map stores slots as `u8` and the sharing set as a `u128`.
+const _: () = assert!(LANES <= 128);
+
+/// The slot map of a block in which every lane owns its slot.
+const OWNED: [u8; LANES] = {
+    let mut slots = [0; LANES];
+    let mut l = 0;
+    while l < LANES {
+        slots[l] = l as u8;
+        l += 1;
+    }
+    slots
+};
+
 /// A columnar block of power-telemetry ticks.
+///
+/// The ticks live in one lane-major slab. A slot map sends each lane to
+/// a slot of the slab: lane `l` is `slab[slot[l] * stride..][..len]`,
+/// where `stride` is the ticks of room per slot. Lanes that
+/// [`PowerBlock::with_repeated_lanes`] declares to repeat the same
+/// value (compared by bits, so `0.0` and `-0.0` differ) share one slot;
+/// every other lane has a slot of its own. Every method that appends,
+/// clears or writes a shared lane first gives each lane its own slot,
+/// so the layout never shows: [`PowerBlock::lane`] returns the same
+/// `&[f64]` either way, `==` compares lane values with `f64 ==`, and
+/// `clone` keeps the sharing.
 ///
 /// # Examples
 ///
@@ -144,11 +180,30 @@ pub mod lane {
 /// assert_eq!(block.len(), 1);
 /// assert_eq!(block.lane(lane::TIMESTAMP), &[0.25]);
 /// assert_eq!(block.materialize(0), s);
+///
+/// // Two lanes repeating 48 V share one slot; the block still reads
+/// // like any other.
+/// let mut volts = PowerBlock::with_repeated_lanes(
+///     3,
+///     [(lane::ROBOT_VOLTAGE, 48.0), (lane::JOINT_VOLTAGE, 48.0)],
+/// );
+/// volts.lane_mut(lane::TIMESTAMP).copy_from_slice(&[0.0, 0.04, 0.08]);
+/// assert_eq!(volts.lane(lane::JOINT_VOLTAGE), &[48.0; 3]);
+/// assert_eq!(volts.lane(lane::TIMESTAMP), &[0.0, 0.04, 0.08]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PowerBlock {
-    /// One lane per property, all the same length, tick-major.
-    lanes: Vec<Vec<f64>>,
+    /// Lane-major storage, `stride` ticks of room per slot.
+    slab: Vec<f64>,
+    /// The slot of each lane. Slots are numbered in order of first use,
+    /// so a block without shared slots maps lane `l` to slot `l`.
+    slots: [u8; LANES],
+    /// Bit `l` is set when lane `l` shares its slot with another lane.
+    shared: u128,
+    /// Ticks of room per slot.
+    stride: usize,
+    /// Ticks stored.
+    len: usize,
 }
 
 impl Default for PowerBlock {
@@ -157,26 +212,96 @@ impl Default for PowerBlock {
     }
 }
 
+/// Blocks are equal when they hold the same ticks: lanes compare value
+/// by value with `f64 ==`, whatever slots they occupy.
+impl PartialEq for PowerBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && (0..LANES).all(|l| self.lane(l) == other.lane(l))
+    }
+}
+
 impl PowerBlock {
     /// An empty block.
     pub fn new() -> Self {
+        PowerBlock::with_capacity(0)
+    }
+
+    /// An empty block with room for `ticks` ticks in every lane.
+    pub fn with_capacity(ticks: usize) -> Self {
         PowerBlock {
-            lanes: vec![Vec::new(); PowerSample::FIELD_COUNT],
+            slab: vec![0.0; LANES * ticks],
+            slots: OWNED,
+            shared: 0,
+            stride: ticks,
+            len: 0,
         }
     }
 
-    /// An empty block with `ticks` of capacity pre-reserved per lane.
-    pub fn with_capacity(ticks: usize) -> Self {
+    /// A block of `ticks` ticks in which each `(lane, value)` of
+    /// `repeated` holds `value` at every tick. The other lanes hold
+    /// `0.0` until written through [`PowerBlock::lane_mut`].
+    ///
+    /// Repeated lanes whose values have the same bits share one slot,
+    /// so the block stores each distinct series once, in one
+    /// allocation. A lane declared twice keeps its last value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane index is `>= PowerSample::FIELD_COUNT`.
+    pub fn with_repeated_lanes(
+        ticks: usize,
+        repeated: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Self {
+        let mut declared = [None; LANES];
+        for (l, v) in repeated {
+            declared[l] = Some(v);
+        }
+        // A varying lane takes a new slot; a repeated lane takes the
+        // slot of the first lane repeating the same bits, or a new one.
+        let mut slots = [0u8; LANES];
+        let mut fills = [(0usize, 0.0f64); LANES];
+        let (mut distinct, mut count) = (0, 0);
+        for (slot, declared) in slots.iter_mut().zip(declared) {
+            let same = declared.and_then(|v| {
+                fills[..distinct]
+                    .iter()
+                    .find(|fill| fill.1.to_bits() == v.to_bits())
+            });
+            *slot = match same {
+                Some(&(s, _)) => s,
+                None => {
+                    if let Some(v) = declared {
+                        fills[distinct] = (count, v);
+                        distinct += 1;
+                    }
+                    count += 1;
+                    count - 1
+                }
+            } as u8;
+        }
+        let mut slab = vec![0.0; count * ticks];
+        for &(s, v) in &fills[..distinct] {
+            slab[s * ticks..][..ticks].fill(v);
+        }
+        let mut users = [0u8; LANES];
+        for &s in &slots {
+            users[usize::from(s)] += 1;
+        }
+        let shared = (0..LANES)
+            .filter(|&l| users[usize::from(slots[l])] > 1)
+            .fold(0, |set, l| set | 1 << l);
         PowerBlock {
-            lanes: (0..PowerSample::FIELD_COUNT)
-                .map(|_| Vec::with_capacity(ticks))
-                .collect(),
+            slab,
+            slots,
+            shared,
+            stride: ticks,
+            len: ticks,
         }
     }
 
     /// Number of ticks stored.
     pub fn len(&self) -> usize {
-        self.lanes[lane::TIMESTAMP].len()
+        self.len
     }
 
     /// Whether the block holds no ticks.
@@ -186,9 +311,8 @@ impl PowerBlock {
 
     /// Drops all ticks, keeping lane capacity.
     pub fn clear(&mut self) {
-        for l in &mut self.lanes {
-            l.clear();
-        }
+        self.len = 0;
+        self.reserve_owned(0);
     }
 
     /// One property lane as a contiguous slice (zero-copy).
@@ -197,7 +321,8 @@ impl PowerBlock {
     ///
     /// Panics if `index >= PowerSample::FIELD_COUNT`.
     pub fn lane(&self, index: usize) -> &[f64] {
-        &self.lanes[index]
+        let start = usize::from(self.slots[index]) * self.stride;
+        &self.slab[start..start + self.len]
     }
 
     /// The actual-current lane of one joint — the series analysed in
@@ -208,29 +333,85 @@ impl PowerBlock {
     /// Panics if `joint >= 6`.
     pub fn current_lane(&self, joint: usize) -> &[f64] {
         assert!(joint < JOINTS, "joint index {joint} out of range");
-        &self.lanes[lane::CURRENT_ACTUAL + joint]
+        self.lane(lane::CURRENT_ACTUAL + joint)
     }
 
-    /// Mutable lane access for in-crate columnar writers (synthesis
-    /// pushes straight into the varying lanes, then bulk-fills the
-    /// constant ones).
-    pub(crate) fn lanes_mut(&mut self) -> &mut [Vec<f64>] {
-        &mut self.lanes
+    /// One property lane, writable in place. A lane that shares its
+    /// slot first gives every lane its own slot; a lane that owns its
+    /// slot is written where it is, so filling the varying lanes of a
+    /// [`PowerBlock::with_repeated_lanes`] block keeps its sharing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= PowerSample::FIELD_COUNT`.
+    pub fn lane_mut(&mut self, index: usize) -> &mut [f64] {
+        assert!(index < LANES, "lane index {index} out of range");
+        if self.shared >> index & 1 == 1 {
+            self.reserve_owned(0);
+        }
+        let start = usize::from(self.slots[index]) * self.stride;
+        &mut self.slab[start..start + self.len]
+    }
+
+    /// Every lane that owns its slot, writable at once: entry `l` is
+    /// lane `l`'s ticks, or `None` when lane `l` shares its slot.
+    /// Synthesis takes its varying lanes from here once per block and
+    /// writes them tick-major.
+    pub(crate) fn owned_lanes_mut(&mut self) -> [Option<&mut [f64]>; LANES] {
+        let mut by_slot: [Option<&mut [f64]>; LANES] = std::array::from_fn(|_| None);
+        if self.stride > 0 {
+            for (slot, ticks) in by_slot
+                .iter_mut()
+                .zip(self.slab.chunks_exact_mut(self.stride))
+            {
+                *slot = Some(&mut ticks[..self.len]);
+            }
+        }
+        std::array::from_fn(|l| match self.shared >> l & 1 {
+            1 => None,
+            _ if self.stride == 0 => Some(&mut [][..]),
+            _ => by_slot[usize::from(self.slots[l])].take(),
+        })
+    }
+
+    /// Gives every lane its own slot with room for `additional` more
+    /// ticks. The slab is re-laid only when a slot is shared or full,
+    /// and a full one at least doubles, so pushes stay amortized O(1).
+    fn reserve_owned(&mut self, additional: usize) {
+        let needed = self.len + additional;
+        if self.shared == 0 && needed <= self.stride {
+            return;
+        }
+        let stride = if needed <= self.stride {
+            self.stride
+        } else {
+            needed.max(2 * self.stride)
+        };
+        let mut slab = vec![0.0; LANES * stride];
+        for l in 0..LANES {
+            slab[l * stride..][..self.len].copy_from_slice(self.lane(l));
+        }
+        *self = PowerBlock {
+            slab,
+            slots: OWNED,
+            shared: 0,
+            stride,
+            len: self.len,
+        };
     }
 
     /// Rebuilds a block from raw lanes — the decode half of a columnar
     /// serializer. Lane order matches [`PowerSample::to_row`] (the
-    /// [`lane`] constants).
+    /// [`lane`] constants). Every lane gets its own slot.
     ///
     /// # Errors
     ///
     /// Returns [`rad_core::RadError::Store`] unless exactly
     /// [`PowerSample::FIELD_COUNT`] lanes of equal length are given.
     pub fn from_lanes(lanes: Vec<Vec<f64>>) -> Result<Self, rad_core::RadError> {
-        if lanes.len() != PowerSample::FIELD_COUNT {
+        if lanes.len() != LANES {
             return Err(rad_core::RadError::Store(format!(
-                "power block needs {} lanes, got {}",
-                PowerSample::FIELD_COUNT,
+                "power block needs {LANES} lanes, got {}",
                 lanes.len()
             )));
         }
@@ -241,14 +422,22 @@ impl PowerBlock {
                 l.len()
             )));
         }
-        Ok(PowerBlock { lanes })
+        Ok(PowerBlock {
+            slab: lanes.concat(),
+            slots: OWNED,
+            shared: 0,
+            stride: ticks,
+            len: ticks,
+        })
     }
 
     /// Appends one row-form sample, scattering its fields into the
     /// lanes.
     pub fn push_sample(&mut self, s: &PowerSample) {
-        let mut it = self.lanes.iter_mut();
-        let mut push = |v: f64| it.next().expect("lane count").push(v);
+        self.reserve_owned(1);
+        let tick = self.len;
+        let mut lanes = self.slab.chunks_exact_mut(self.stride);
+        let mut push = |v: f64| lanes.next().expect("lane count")[tick] = v;
         push(s.timestamp);
         for arr in [
             &s.q_target,
@@ -298,20 +487,21 @@ impl PowerBlock {
         ] {
             push(v);
         }
+        self.len += 1;
     }
 
     /// Appends one tick referenced by a [`PowerRow`] view.
     pub fn push_row(&mut self, row: &PowerRow<'_>) {
-        for (dst, src) in self.lanes.iter_mut().zip(&row.block.lanes) {
-            dst.push(src[row.index]);
+        self.reserve_owned(1);
+        for l in 0..LANES {
+            self.slab[l * self.stride + self.len] = row.value(l);
         }
+        self.len += 1;
     }
 
     /// Appends all ticks of `other` (lane-wise `memcpy`).
     pub fn append(&mut self, other: &PowerBlock) {
-        for (dst, src) in self.lanes.iter_mut().zip(&other.lanes) {
-            dst.extend_from_slice(src);
-        }
+        self.append_range(other, 0, other.len());
     }
 
     /// Appends the tick range `start..end` of `other`.
@@ -320,9 +510,13 @@ impl PowerBlock {
     ///
     /// Panics if `start..end` is out of bounds.
     pub fn append_range(&mut self, other: &PowerBlock, start: usize, end: usize) {
-        for (dst, src) in self.lanes.iter_mut().zip(&other.lanes) {
-            dst.extend_from_slice(&src[start..end]);
+        let added = other.lane(0)[start..end].len();
+        self.reserve_owned(added);
+        for l in 0..LANES {
+            self.slab[l * self.stride + self.len..][..added]
+                .copy_from_slice(&other.lane(l)[start..end]);
         }
+        self.len += added;
     }
 
     /// Gathers tick `index` back into the row representation.
@@ -332,8 +526,8 @@ impl PowerBlock {
     /// Panics if `index >= len()`.
     pub fn materialize(&self, index: usize) -> PowerSample {
         assert!(index < self.len(), "tick index {index} out of range");
-        let mut it = self.lanes.iter();
-        let mut next = || it.next().expect("lane count")[index];
+        let mut it = (0..LANES).map(|l| self.lane(l)[index]);
+        let mut next = || it.next().expect("lane count");
         let vec6 = |next: &mut dyn FnMut() -> f64| {
             let mut out = [0.0; 6];
             for v in &mut out {
@@ -412,9 +606,16 @@ impl PowerBlock {
         (0..self.len()).map(move |index| PowerRow { block: self, index })
     }
 
-    /// Approximate resident size in bytes (lane payloads only).
+    /// Bytes of telemetry the block holds: one lane of ticks per slot,
+    /// so lanes that share a slot count once.
     pub fn approx_bytes(&self) -> usize {
-        self.lanes.len() * self.len() * std::mem::size_of::<f64>()
+        self.slot_count() * self.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Number of distinct slots (slots are numbered in order of first
+    /// use, so the highest plus one).
+    fn slot_count(&self) -> usize {
+        self.slots.iter().max().map_or(0, |&s| usize::from(s) + 1)
     }
 }
 
@@ -428,7 +629,7 @@ pub struct PowerRow<'a> {
 impl<'a> PowerRow<'a> {
     /// One scalar property of this tick, by lane index.
     pub fn value(&self, lane: usize) -> f64 {
-        self.block.lanes[lane][self.index]
+        self.block.lane(lane)[self.index]
     }
 
     /// Seconds since the start of the recording.
@@ -559,6 +760,119 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(picked.to_samples(), expected);
+    }
+
+    fn motion_block() -> PowerBlock {
+        let seg = crate::TrajectorySegment::joint_move(
+            crate::Ur3e::named_pose(0),
+            crate::Ur3e::named_pose(1),
+            0.8,
+        );
+        crate::Ur3e::new()
+            .current_profile(&[seg], 0.25, 3)
+            .into_block()
+    }
+
+    fn owned_twin(block: &PowerBlock) -> PowerBlock {
+        PowerBlock::from_lanes((0..LANES).map(|l| block.lane(l).to_vec()).collect()).unwrap()
+    }
+
+    #[test]
+    fn synthesized_motion_block_is_one_slab_of_at_most_64_slots() {
+        let block = motion_block();
+        assert!(block.len() > 10);
+        assert!(block.slot_count() <= 64, "{} slots", block.slot_count());
+        // All telemetry sits in one allocation sized to its slots.
+        assert_eq!(block.slab.len(), block.slot_count() * block.len());
+        assert_eq!(block.slab.capacity(), block.slab.len());
+        // The varying lanes own the first 55 slots; equal constants,
+        // such as the joint and robot supply voltages, share one.
+        assert_eq!(&block.slots[..55], &OWNED[..55]);
+        assert_eq!(
+            block.slots[lane::JOINT_VOLTAGE],
+            block.slots[lane::ROBOT_VOLTAGE]
+        );
+        assert_eq!(block, owned_twin(&block));
+    }
+
+    #[test]
+    fn synthesized_motion_block_reports_the_bytes_it_holds() {
+        let block = motion_block();
+        let twin = owned_twin(&block);
+        assert_eq!(twin.approx_bytes(), LANES * block.len() * 8);
+        assert_eq!(block.approx_bytes(), block.slot_count() * block.len() * 8);
+        assert!(block.approx_bytes() * LANES <= twin.approx_bytes() * 64);
+    }
+
+    #[test]
+    fn bit_distinct_values_never_share_a_slot() {
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
+        let block = PowerBlock::with_repeated_lanes(
+            3,
+            [
+                (1, 0.0),
+                (2, -0.0),
+                (3, 0.0),
+                (4, nan_a),
+                (5, nan_b),
+                (6, nan_a),
+                (7, -0.0),
+            ],
+        );
+        let slot = |l: usize| block.slots[l];
+        assert_eq!(slot(1), slot(3));
+        assert_eq!(slot(2), slot(7));
+        assert_eq!(slot(4), slot(6));
+        assert_ne!(slot(1), slot(2));
+        assert_ne!(slot(4), slot(5));
+        assert_eq!(block.slot_count(), LANES - 3);
+        for (l, bits) in [(2, (-0.0f64).to_bits()), (5, nan_b.to_bits())] {
+            assert!(block.lane(l).iter().all(|v| v.to_bits() == bits));
+        }
+        // Lanes that own their slot are not marked shared.
+        assert_eq!(
+            block.shared,
+            (1 << 1) | (1 << 3) | (1 << 2) | (1 << 7) | (1 << 4) | (1 << 6)
+        );
+    }
+
+    #[test]
+    fn writing_a_shared_lane_unshares_and_an_owned_lane_writes_in_place() {
+        let mut block = PowerBlock::with_repeated_lanes(4, [(10, 2.0), (11, 2.0), (12, 3.0)]);
+        let slab = block.slab.as_ptr();
+        block.lane_mut(12)[1] = 9.0;
+        block.lane_mut(0).copy_from_slice(&[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(block.slab.as_ptr(), slab, "owned lanes write in place");
+        assert_eq!(block.lane(12), &[3.0, 9.0, 3.0, 3.0]);
+        block.lane_mut(10)[0] = 5.0;
+        assert_eq!(block.slots, OWNED);
+        assert_eq!(block.lane(10), &[5.0, 2.0, 2.0, 2.0]);
+        assert_eq!(block.lane(11), &[2.0; 4]);
+        assert_eq!(block.lane(0), &[0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn mutators_unshare_before_writing() {
+        let shared = motion_block();
+        let twin = owned_twin(&shared);
+        let extra = PowerBlock::from_samples(&[varied_sample(1), varied_sample(2)]);
+        type Mutator = fn(&mut PowerBlock, &PowerBlock);
+        let cases: [(&str, Mutator); 5] = [
+            ("push_sample", |b, _| b.push_sample(&varied_sample(7))),
+            ("push_row", |b, x| b.push_row(&x.row(1))),
+            ("append", |b, x| b.append(x)),
+            ("append_range", |b, x| b.append_range(x, 1, 2)),
+            ("clear", |b, _| b.clear()),
+        ];
+        for (name, mutate) in cases {
+            let (mut a, mut b) = (shared.clone(), twin.clone());
+            mutate(&mut a, &extra);
+            mutate(&mut b, &extra);
+            assert_eq!(a.slots, OWNED, "{name} leaves every lane its own slot");
+            assert_eq!(a, b, "{name}");
+            assert_eq!(a.to_samples(), b.to_samples(), "{name}");
+        }
     }
 
     #[test]

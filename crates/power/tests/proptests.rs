@@ -3,7 +3,9 @@
 #![allow(clippy::needless_range_loop)] // matrix checks read best indexed
 
 use proptest::prelude::*;
-use rad_power::{signal, PowerBlock, PowerSample, TrajectorySegment, Ur3e, Ur3eDynamics, JOINTS};
+use rad_power::{
+    signal, CurrentProfile, PowerBlock, PowerSample, TrajectorySegment, Ur3e, Ur3eDynamics, JOINTS,
+};
 
 fn arb_pose() -> impl Strategy<Value = [f64; JOINTS]> {
     proptest::array::uniform6(-3.0f64..3.0)
@@ -351,5 +353,153 @@ proptest! {
         prop_assert_eq!(streamed.peak_to_peak.to_bits(), batch.peak_to_peak.to_bits());
         prop_assert_eq!(streamed.mean_abs.to_bits(), batch.mean_abs.to_bits());
         prop_assert_eq!(streamed.rms.to_bits(), batch.rms.to_bits());
+    }
+}
+
+/// Values that make slot sharing interesting: both zeros, two NaN
+/// payloads, and a few ordinary values that repeat often.
+fn arb_lane_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Just(f64::from_bits(0xfff8_0000_0000_00ff)),
+        Just(48.0),
+        Just(-9.81),
+        -5.0f64..5.0,
+    ]
+}
+
+/// A block built with random repeated-lane declarations and random
+/// values in its other lanes, with its all-owned `from_lanes` twin
+/// built from the same values independently.
+fn arb_shared_block() -> impl Strategy<Value = (PowerBlock, PowerBlock)> {
+    (
+        0usize..5,
+        proptest::collection::vec((0..PowerSample::FIELD_COUNT, arb_lane_value()), 0..140),
+        proptest::collection::vec(arb_lane_value(), PowerSample::FIELD_COUNT * 4),
+    )
+        .prop_map(|(ticks, repeated, values)| {
+            let mut lanes: Vec<Vec<f64>> = (0..PowerSample::FIELD_COUNT)
+                .map(|l| values[l * 4..][..ticks].to_vec())
+                .collect();
+            for &(l, v) in &repeated {
+                lanes[l] = vec![v; ticks];
+            }
+            let mut block = PowerBlock::with_repeated_lanes(ticks, repeated.iter().copied());
+            let declared: Vec<usize> = repeated.iter().map(|&(l, _)| l).collect();
+            for l in (0..PowerSample::FIELD_COUNT).filter(|l| !declared.contains(l)) {
+                block.lane_mut(l).copy_from_slice(&lanes[l]);
+            }
+            (block, PowerBlock::from_lanes(lanes).unwrap())
+        })
+}
+
+/// Every lane's bits: compares blocks holding NaNs, and tells `0.0`
+/// from `-0.0`.
+fn lane_bits(block: &PowerBlock) -> Vec<Vec<u64>> {
+    (0..PowerSample::FIELD_COUNT)
+        .map(|l| block.lane(l).iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+fn row_bits(samples: &[PowerSample]) -> Vec<Vec<u64>> {
+    samples
+        .iter()
+        .map(|s| s.to_row().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// One mutating call, applied alike to a shared block and its twin.
+#[derive(Debug, Clone)]
+enum Mutation {
+    PushSample(Box<PowerSample>),
+    PushRow(usize),
+    Append,
+    AppendRange(usize, usize),
+    Clear,
+    WriteLane(usize, usize, f64),
+    Extend,
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        arb_sample().prop_map(|s| Mutation::PushSample(Box::new(s))),
+        (0usize..4).prop_map(Mutation::PushRow),
+        Just(Mutation::Append),
+        (0usize..4, 0usize..4).prop_map(|(a, b)| Mutation::AppendRange(a.min(b), a.max(b))),
+        Just(Mutation::Clear),
+        (0..PowerSample::FIELD_COUNT, 0usize..8, arb_lane_value())
+            .prop_map(|(l, i, v)| Mutation::WriteLane(l, i, v)),
+        Just(Mutation::Extend),
+    ]
+}
+
+impl Mutation {
+    fn apply(&self, block: &mut PowerBlock, other: &PowerBlock) {
+        match *self {
+            Mutation::PushSample(ref s) => block.push_sample(s),
+            Mutation::PushRow(i) if i < other.len() => block.push_row(&other.row(i)),
+            Mutation::PushRow(_) => {}
+            Mutation::Append => block.append(other),
+            Mutation::AppendRange(a, b) if b <= other.len() => block.append_range(other, a, b),
+            Mutation::AppendRange(..) => {}
+            Mutation::Clear => block.clear(),
+            Mutation::WriteLane(l, i, v) => {
+                if let Some(slot) = block.lane_mut(l).get_mut(i) {
+                    *slot = v;
+                }
+            }
+            Mutation::Extend => {
+                let mut profile = CurrentProfile::from_block(std::mem::take(block));
+                profile.extend(&CurrentProfile::from_block(other.clone()));
+                *block = profile.into_block();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A block whose repeated lanes share slots reads exactly like its
+    /// all-owned twin: same lane bits, same rows, same `==` outcome,
+    /// and a clone that reads the same and holds no more bytes.
+    #[test]
+    fn shared_layout_reads_like_its_owned_twin(pair in arb_shared_block()) {
+        let (block, twin) = pair;
+        prop_assert_eq!(lane_bits(&block), lane_bits(&twin));
+        prop_assert_eq!(row_bits(&block.to_samples()), row_bits(&twin.to_samples()));
+        for (a, b) in block.iter().zip(twin.iter()) {
+            prop_assert_eq!(row_bits(&[a.to_sample()]), row_bits(&[b.to_sample()]));
+            prop_assert_eq!(a.is_quiescent(), b.is_quiescent());
+        }
+        // `==` is `f64 ==` lane by lane: NaN makes both comparisons
+        // false, and nothing else tells the layouts apart.
+        prop_assert_eq!(block == twin, twin == twin);
+        prop_assert_eq!(twin == block, twin == twin);
+        let copy = block.clone();
+        prop_assert_eq!(lane_bits(&copy), lane_bits(&block));
+        prop_assert_eq!(copy.approx_bytes(), block.approx_bytes());
+        prop_assert!(block.approx_bytes() <= twin.approx_bytes());
+    }
+
+    /// After any sequence of mutating calls, a shared block and its
+    /// twin still hold the same bits (writing a lane that owns its slot
+    /// leaves the others shared, so the shared block may stay smaller).
+    #[test]
+    fn shared_layout_survives_every_mutation(
+        pair in arb_shared_block(),
+        others in arb_shared_block(),
+        mutations in proptest::collection::vec(arb_mutation(), 1..6),
+    ) {
+        let ((mut shared, mut twin), (other, other_twin)) = (pair, others);
+        for m in &mutations {
+            m.apply(&mut shared, &other);
+            m.apply(&mut twin, &other_twin);
+            prop_assert_eq!(lane_bits(&shared), lane_bits(&twin), "after {:?}", m);
+            prop_assert_eq!(shared.len(), twin.len());
+            prop_assert!(shared.approx_bytes() <= twin.approx_bytes(), "after {:?}", m);
+        }
     }
 }

@@ -608,6 +608,13 @@ fn encode_power_columns(block: &PowerBlock) -> Vec<(String, u8, Vec<u8>)> {
         .collect()
 }
 
+/// The little-endian `f64`s of a raw power column.
+fn f64_values(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
 /// Writes one segment to `w`: the column payloads back to back, then
 /// the footer and trailer. Sealed files and the WAL's trace frames
 /// both go through here, so they share one byte format.
@@ -1391,6 +1398,11 @@ impl SegmentReader {
     /// Same contract as [`SegmentReader::read_batch`], on a power
     /// segment.
     pub fn read_lane(&mut self, lane: usize) -> Result<Vec<f64>, RadError> {
+        Ok(f64_values(self.lane_bytes(lane)?).collect())
+    }
+
+    /// One power lane's column bytes, checked to hold 8 bytes per tick.
+    fn lane_bytes(&mut self, lane: usize) -> Result<&[u8], RadError> {
         if self.footer.kind != SegmentKind::Power {
             return Err(RadError::Store("not a power segment".to_owned()));
         }
@@ -1398,29 +1410,32 @@ impl SegmentReader {
         let ticks = self.footer.rows as usize;
         let idx = self.column_index(&name, enc::F64_RAW)?;
         self.load_column(idx)?;
-        let bytes = self.cached(idx);
-        if bytes.len() != ticks * 8 {
-            return Err(self.decode_err(&name, format!("{} bytes for {ticks} ticks", bytes.len())));
+        let len = self.cached(idx).len();
+        if ticks.checked_mul(8) != Some(len) {
+            return Err(self.decode_err(&name, format!("{len} bytes for {ticks} ticks")));
         }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        Ok(self.cached(idx))
     }
 
-    /// Decodes the full power block.
+    /// Decodes the full power block, every lane straight into the
+    /// block's one slab.
     ///
     /// # Errors
     ///
     /// Same contract as [`SegmentReader::read_batch`], on a power
     /// segment.
     pub fn read_block(&mut self) -> Result<PowerBlock, RadError> {
-        let mut lanes = Vec::with_capacity(PowerSample::FIELD_COUNT);
+        // Checking the first lane's bytes before allocating bounds the
+        // slab by bytes in the file, not by the footer's row count.
+        let ticks = self.lane_bytes(0)?.len() / 8;
+        let mut block = PowerBlock::with_repeated_lanes(ticks, []);
         for i in 0..PowerSample::FIELD_COUNT {
-            lanes.push(self.read_lane(i)?);
+            let bytes = self.lane_bytes(i)?;
+            for (v, x) in block.lane_mut(i).iter_mut().zip(f64_values(bytes)) {
+                *v = x;
+            }
         }
-        PowerBlock::from_lanes(lanes)
-            .map_err(|e| corrupt(&self.path, 0, format!("incoherent lanes: {e}")))
+        Ok(block)
     }
 }
 

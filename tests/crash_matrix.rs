@@ -24,7 +24,8 @@ const SEED: u64 = 42;
 
 /// Every crash site with an occurrence at which it provably fires
 /// during the seeded supervised campaign (append-heavy sites get a
-/// mid-campaign index; checkpoint sites fire on the second compaction).
+/// mid-campaign index; checkpoint sites fire on the first checkpoint's
+/// manifest, after its seal).
 /// The counts assume batch-wise persistence — one WAL frame per stream
 /// delta per flush, not one per record — so the campaign sees ~125
 /// appends and ~130 fsync batches total.
