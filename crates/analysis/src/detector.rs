@@ -119,7 +119,8 @@ impl PerplexityDetector {
         // there is no overlap at all), so score folds inline.
         let total_tokens: usize = interned.iter().map(Vec::len).sum::<usize>() * folds.len();
         let fold_scores: Vec<Result<Vec<(usize, f64)>, RadError>> =
-            if !rad_core::par::should_fan_out(folds.len(), total_tokens, MIN_TOKENS_PER_FOLD_THREAD)
+            if rad_core::par::should_fan_out(folds.len(), total_tokens, MIN_TOKENS_PER_FOLD_THREAD)
+                .is_none()
             {
                 folds.iter().map(score_fold).collect()
             } else {

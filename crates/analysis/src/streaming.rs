@@ -315,8 +315,8 @@ impl<A: AlertSink> StreamingPerplexity<A> {
     /// Bytes of resident per-stream scoring state (contexts and window
     /// rings) across all open runs — the quantity the streaming
     /// contract bounds by the configured window and the number of open
-    /// runs, never by how many rows have flowed through. The
-    /// `streaming_report` bench samples this to evidence the bound.
+    /// runs, never by how many rows have flowed through.
+    /// `tests/streaming_equivalence.rs` samples this to pin the bound.
     pub fn resident_state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.streams

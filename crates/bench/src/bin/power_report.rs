@@ -5,7 +5,7 @@
 //!
 //! Two implementations of the same analysis run over the same
 //! multi-run telemetry campaign (plain wall-clock timers, minimum
-//! over reps, like `pipeline_report`):
+//! over reps):
 //!
 //! * **rows** — the pre-refactor shape: synthesis materializes one
 //!   122-field `PowerSample` struct per tick, every analysis gathers

@@ -5,8 +5,8 @@
 //! per-thread slice of work was smaller than the cost of spawning and
 //! joining the threads (~100 µs per thread on this class of machine),
 //! or when the host only offers one core in the first place. Every
-//! fan-out site now asks [`should_fan_out`] first and falls back to
-//! the sequential loop below its threshold; because parallel merges
+//! fan-out site now asks [`should_fan_out`] for a worker count and
+//! runs the sequential loop when it gets none; because parallel merges
 //! are index-ordered everywhere, the two paths produce bit-identical
 //! results and the choice is invisible to callers. The export bundle
 //! writer is the exception: it always stages files on
@@ -23,18 +23,28 @@ pub fn max_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether fanning `items` totalling `total_work` abstract work units
-/// out over scoped threads beats running them sequentially.
+/// How many scoped threads to fan `items` totalling `total_work`
+/// abstract work units out over, or `None` when running them
+/// sequentially on the calling thread is faster.
 ///
 /// Fan-out pays only when (a) the host has a second core, (b) there
 /// are at least two items to split, and (c) each worker's share of the
 /// work (`total_work / workers`) stays above `min_work_per_thread`,
 /// the caller's measured break-even point against thread spawn/join
 /// overhead. Work units are caller-defined (tokens, ticks, traces);
-/// each call site documents its own threshold's derivation.
-pub fn should_fan_out(items: usize, total_work: usize, min_work_per_thread: usize) -> bool {
+/// each call site documents its own threshold's derivation. The
+/// returned count is at least 2 and at most `items`.
+///
+/// The host is probed once per call, never cached: the process's CPU
+/// affinity can change while it runs (the end-to-end benchmark pins
+/// it during service set-up), and a cached count would go stale.
+pub fn should_fan_out(
+    items: usize,
+    total_work: usize,
+    min_work_per_thread: usize,
+) -> Option<usize> {
     let workers = max_workers().min(items);
-    workers >= 2 && total_work / workers >= min_work_per_thread
+    (workers >= 2 && total_work / workers >= min_work_per_thread).then_some(workers)
 }
 
 #[cfg(test)]
@@ -43,21 +53,22 @@ mod tests {
 
     #[test]
     fn single_item_never_fans_out() {
-        assert!(!should_fan_out(1, usize::MAX, 1));
+        assert_eq!(should_fan_out(1, usize::MAX, 1), None);
     }
 
     #[test]
     fn tiny_work_never_fans_out() {
-        assert!(!should_fan_out(8, 8, 1000));
+        assert_eq!(should_fan_out(8, 8, 1000), None);
     }
 
     #[test]
     fn fan_out_requires_a_second_core() {
         let decision = should_fan_out(8, 1_000_000, 1);
         if max_workers() < 2 {
-            assert!(!decision);
+            assert_eq!(decision, None);
         } else {
-            assert!(decision);
+            let workers = decision.expect("two cores and ample work fan out");
+            assert!((2..=8).contains(&workers), "{workers} workers for 8 items");
         }
     }
 

@@ -28,9 +28,10 @@ const CURRENT_NOISE_A: f64 = 0.03;
 const POSITION_NOISE_RAD: f64 = 2e-4;
 
 /// Minimum synthesis ticks per worker before
-/// [`Ur3e::current_profiles_par`] fans out. Columnar synthesis runs at
-/// roughly 100–200 ns/tick, so 8192 ticks is ~1–2 ms of work per
-/// thread — an order of magnitude above scoped-thread spawn/join cost.
+/// [`Ur3e::current_profiles_par`] fans out. Columnar synthesis measured
+/// 306–458 ns/tick on one CPU of a 2-vCPU VM (2,000 one-leg profiles),
+/// so 8192 ticks is ~2.5–3.8 ms of work per thread — over 25× the
+/// ~100 µs scoped-thread spawn/join cost `rad_core::par` budgets for.
 pub const MIN_SYNTH_TICKS_PER_THREAD: usize = 8192;
 
 /// Reads one six-joint field of a trajectory point.
@@ -311,13 +312,14 @@ impl Ur3e {
             .iter()
             .map(|r| Self::profile_ticks(&r.segments))
             .sum();
-        if !rad_core::par::should_fan_out(requests.len(), total_ticks, MIN_SYNTH_TICKS_PER_THREAD) {
+        let Some(workers) =
+            rad_core::par::should_fan_out(requests.len(), total_ticks, MIN_SYNTH_TICKS_PER_THREAD)
+        else {
             return requests
                 .iter()
                 .map(|r| self.current_profile(&r.segments, r.payload_kg, r.seed))
                 .collect();
-        }
-        let workers = rad_core::par::max_workers().min(requests.len());
+        };
         let chunk = requests.len().div_ceil(workers);
         crossbeam::thread::scope(|s| {
             let handles: Vec<_> = requests

@@ -80,27 +80,6 @@ impl CommandDataset {
         self.batch.push_owned(trace);
     }
 
-    /// Appends a whole batch of traces.
-    pub fn push_batch(&mut self, batch: &TraceBatch) {
-        self.batch.append(batch);
-    }
-
-    /// Moves a whole batch of traces into the dataset.
-    ///
-    /// When the dataset is empty the batch's columns are adopted
-    /// wholesale (no copy at all) — the common case for pipeline
-    /// hand-offs, where each chunk lands in a fresh or just-drained
-    /// dataset. Non-empty datasets fall back to the same lane-wise
-    /// append as [`CommandDataset::push_batch`]; the ownership
-    /// transfer still saves the caller's clone.
-    pub fn insert_batch(&mut self, batch: TraceBatch) {
-        if self.batch.is_empty() {
-            self.batch = batch;
-        } else {
-            self.batch.append_owned(batch);
-        }
-    }
-
     /// Registers a procedure run's metadata.
     pub fn add_run(&mut self, run: RunMetadata) {
         self.runs.push(run);

@@ -1675,10 +1675,11 @@ fn scan_parallel<T: Send>(
     scan: impl Fn(&SegmentEntry) -> Result<T, RadError> + Sync,
 ) -> Vec<Result<T, RadError>> {
     let total_bytes: usize = work.iter().map(|s| s.body_bytes as usize).sum();
-    if !rad_core::par::should_fan_out(work.len(), total_bytes, MIN_SCAN_BYTES_PER_THREAD) {
+    let Some(workers) =
+        rad_core::par::should_fan_out(work.len(), total_bytes, MIN_SCAN_BYTES_PER_THREAD)
+    else {
         return work.iter().map(|entry| scan(entry)).collect();
-    }
-    let workers = rad_core::par::max_workers().min(work.len());
+    };
     let chunk = work.len().div_ceil(workers);
     let scan = &scan;
     crossbeam::thread::scope(|s| {

@@ -119,9 +119,8 @@ pub struct CampaignSpec {
     pub power_experiments: bool,
     /// Seeded wire-fault schedule, if any.
     pub fault_plan: Option<FaultPlan>,
-    /// Seeded persistence-crash schedule, if any.
-    pub crash_plan: Option<CrashPlan>,
-    /// Durable-store tuning override, if any.
+    /// Durable-store tuning override, if any, including the seeded
+    /// persistence-crash schedule.
     pub durable_options: Option<DurableOptions>,
 }
 
@@ -135,7 +134,6 @@ impl CampaignSpec {
             fillers: true,
             power_experiments: true,
             fault_plan: None,
-            crash_plan: None,
             durable_options: None,
         }
     }
@@ -229,9 +227,16 @@ impl CampaignBuilder {
     /// `(seed, site, index)`, so the same build dies at the same write
     /// in every run. [`CampaignBuilder::resume_from`] ignores it — a
     /// recovery is a fresh, healthy process.
+    ///
+    /// The plan is stored as the durable options' `crash_plan`, so set
+    /// [`CampaignBuilder::with_durable_options`] first: options set
+    /// afterwards replace the plan.
     #[must_use]
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.spec.crash_plan = Some(plan);
+        self.spec
+            .durable_options
+            .get_or_insert_with(DurableOptions::default)
+            .crash_plan = Some(plan);
         self
     }
 
@@ -263,7 +268,7 @@ impl CampaignBuilder {
     /// sequentially: spawning threads that can never overlap only
     /// adds stack allocation and scheduler churn.
     pub fn build_many(&self, seeds: &[u64]) -> Vec<CampaignDataset> {
-        if !rad_core::par::should_fan_out(seeds.len(), seeds.len(), 1) {
+        if rad_core::par::should_fan_out(seeds.len(), seeds.len(), 1).is_none() {
             return seeds
                 .iter()
                 .map(|&seed| self.clone().with_seed(seed).build())
@@ -315,10 +320,7 @@ impl CampaignBuilder {
     /// crashes, and [`RadError::CheckpointMismatch`] when `dir` holds a
     /// different campaign's data.
     pub fn build_resumable(&self, dir: &Path) -> Result<CampaignDataset, RadError> {
-        let mut options = self.spec.durable_options.clone().unwrap_or_default();
-        if options.crash_plan.is_none() {
-            options.crash_plan = self.spec.crash_plan.clone();
-        }
+        let options = self.spec.durable_options.clone().unwrap_or_default();
         let (durable, _report) = DurableStore::open(dir, options)?;
         let mut sink = CampaignSink::attach(&durable, self.fingerprint())?;
         let dataset = self.run(Some(&mut sink))?;

@@ -470,7 +470,6 @@ impl ScenarioSpec {
             fillers: self.fillers,
             power_experiments: self.power_experiments,
             fault_plan: self.faults.as_ref().map(FaultSpec::to_plan),
-            crash_plan: None,
             durable_options: self.durable.as_ref().map(DurableSpec::to_options),
         }
     }

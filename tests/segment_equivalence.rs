@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 use rad_core::{
     Command, CommandType, DeviceId, DeviceKind, Label, ProcedureKind, RunId, SimDuration,
-    SimInstant, TraceBatch, TraceId, TraceObject, Value,
+    SimInstant, TraceBatch, TraceId, TraceObject, TraceSink, Value,
 };
 use rad_power::{CurrentProfile, PowerBlock, RecordingMeta};
 use rad_store::segment::codec;
@@ -200,7 +200,7 @@ fn bundle_from_segments_is_byte_identical_to_in_memory_export() {
     // The command half, with runs and a gap-free record.
     let batch = synthesize(300);
     let mut commands = CommandDataset::new();
-    commands.push_batch(&batch);
+    commands.accept(&batch).unwrap();
     for run in 0..6 {
         commands.add_run(
             rad_core::RunMetadata::new(

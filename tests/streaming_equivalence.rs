@@ -409,3 +409,106 @@ fn drive_open<S: TraceSink>(stage: &mut S, traces: &[TraceObject]) {
         stage.accept(&batch).unwrap();
     }
 }
+
+/// One burst of unseen commands starts every this many ambient rows.
+const BURST_EVERY: usize = 10_000;
+
+/// Rows in each burst.
+const BURST_LEN: usize = 32;
+
+/// Simulated microseconds between consecutive ambient rows.
+const ROW_MICROS: u64 = 250;
+
+/// `n` rows of ambient traffic without run ids, with a [`BURST_LEN`]-row
+/// burst every [`BURST_EVERY`] rows. A burst steps across the whole
+/// command alphabet, so almost every trigram in it is unseen.
+///
+/// The ambient rows walk the training grammar greedily: from each
+/// bigram context, the most frequent successor in `benign`, ties to
+/// the lowest token id. Tiling benign runs end to end instead would put
+/// an unseen trigram at every seam and hold the windowed perplexity
+/// above the bar, so the edge-triggered alert would fire once and never
+/// re-arm. After each burst the walk restarts from the first benign
+/// run's opening bigram.
+fn ambient_stream(benign: &[Vec<CommandType>], n: usize) -> Vec<TraceObject> {
+    let mut counts: BTreeMap<(CommandType, CommandType, CommandType), u64> = BTreeMap::new();
+    for run in benign {
+        for w in run.windows(3) {
+            *counts.entry((w[0], w[1], w[2])).or_insert(0) += 1;
+        }
+    }
+    let mut successor: BTreeMap<(CommandType, CommandType), (CommandType, u64)> = BTreeMap::new();
+    for (&(a, b, c), &count) in &counts {
+        let best = successor.entry((a, b)).or_insert((c, 0));
+        if count > best.1 || (count == best.1 && c.token_id() < best.0.token_id()) {
+            *best = (c, count);
+        }
+    }
+    let seed = benign
+        .iter()
+        .find(|run| run.len() >= 2)
+        .expect("the campaign has a scoreable benign run");
+    let mut context = (seed[0], seed[1]);
+    let mut restart = 0; // opening-bigram rows left to emit after a burst
+    (0..n)
+        .map(|i| {
+            let ct = if i % BURST_EVERY < BURST_LEN {
+                restart = 2;
+                CommandType::from_token_id((i * 7) % CommandType::all().len()).unwrap()
+            } else if restart > 0 {
+                restart -= 1;
+                seed[1 - restart]
+            } else {
+                successor.get(&context).map_or(seed[0], |&(c, _)| c)
+            };
+            context = (context.1, ct);
+            TraceObject::builder(
+                TraceId(i as u64),
+                SimInstant::from_micros(i as u64 * ROW_MICROS),
+                DeviceId::primary(ct.device()),
+                Command::nullary(ct),
+            )
+            .build()
+        })
+        .collect()
+}
+
+#[test]
+fn crossing_alerts_fire_once_per_burst_at_every_chunk_size() {
+    // An order-3 detector on seed 5's benign supervised runs: the
+    // ambient walk scores about 2.6 and a 32-row burst in a 256-row
+    // window about 14, so a fixed bar of 4.0 separates them. The Jenks
+    // threshold (about 1.86) sits inside the benign range.
+    let dataset = CampaignBuilder::new(5).supervised_only().build();
+    let detector = fit_detector(&dataset, 3).unwrap();
+    let benign: Vec<Vec<CommandType>> = dataset
+        .command()
+        .supervised_sequences()
+        .into_iter()
+        .filter(|(meta, _)| !meta.label().is_anomalous())
+        .map(|(_, run)| run)
+        .collect();
+    let rows = 50_000;
+    let stream = ambient_stream(&benign, rows);
+
+    for chunk in [7, 4096] {
+        let mut stage =
+            StreamingPerplexity::new(&detector, AlertPolicy::Crossing { window: 256 }, Vec::new())
+                .with_fixed_threshold(4.0);
+        drive(&mut stage, &stream, chunk);
+        let alerts = stage.into_sink();
+        assert_eq!(
+            alerts.len(),
+            rows.div_ceil(BURST_EVERY),
+            "chunk {chunk}: one alert per burst"
+        );
+        for (burst, alert) in alerts.iter().enumerate() {
+            let row = (alert.window_end.as_micros() / ROW_MICROS) as usize;
+            let start = burst * BURST_EVERY;
+            assert!(
+                (start..start + BURST_LEN).contains(&row),
+                "chunk {chunk}: alert {burst} fired at row {row}, outside its burst"
+            );
+        }
+    }
+}

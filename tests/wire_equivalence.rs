@@ -1,5 +1,5 @@
 //! The golden suite for the binary pipelined wire (ISSUE PR 10): the
-//! fast path must be *invisible* in the data. Two proofs:
+//! fast path must be *invisible* in the data. Three proofs:
 //!
 //! 1. **Campaign-export equivalence** — the same seeded campaign
 //!    driven lock-step over JSON (the reference), pipelined over the
@@ -13,12 +13,17 @@
 //!    client speaking pipelined binary frames: every profile's traces
 //!    and gaps still match the in-process [`Middlebox`] reference.
 //!
-//! Both hold because the server's clock is command-count driven and
-//! the fault plan interposes inside the tenant's middlebox — pacing
-//! and encoding cannot perturb what lands in the sink, and this suite
-//! pins that.
+//! 3. **Concurrent tenants** — several tenants driving pipelined
+//!    binary campaigns at once each execute every command exactly
+//!    once, and every executed row reaches its tenant's sink.
+//!
+//! The first two hold because the server's clock is command-count
+//! driven and the fault plan interposes inside the tenant's middlebox
+//! — pacing and encoding cannot perturb what lands in the sink, and
+//! this suite pins that.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use rad::prelude::*;
 use rad_middlebox::TenantSinkStack;
@@ -221,4 +226,67 @@ fn disconnect_gaps_keep_run_attribution_over_the_pipelined_wire() {
         gaps.iter().any(|g| g.run_id.is_none()),
         "post-run gaps must stay unattributed"
     );
+}
+
+#[test]
+fn concurrent_pipelined_tenants_execute_and_flush_exactly_once() {
+    const TENANTS: usize = 4;
+    let script = CampaignScript::supervised(SEED).truncated(500);
+    let expected = script.command_count() as u64;
+    // Every tenant's first `Hello` waits here until all have arrived,
+    // so no command runs before all sessions are open at once.
+    let all_open = Arc::new(Barrier::new(TENANTS));
+    let config = ServerConfig {
+        seed: SEED,
+        max_sessions: TENANTS,
+        backlog: TENANTS,
+        ..ServerConfig::default()
+    };
+    let service = LabService::new(config).with_sink_factory(Arc::new(move |_tenant: &str| {
+        all_open.wait();
+        Ok(TenantSinkStack {
+            sink: Box::new(CountingSink::default()),
+            durable: None,
+        })
+    }));
+    let handle = service.serve_tcp("127.0.0.1:0").expect("serve tcp");
+    // Generous timeouts: a retry is harmless here, a missed deadline
+    // on a loaded debug build is not.
+    let policy = RetryPolicy {
+        attempt_timeout: Duration::from_secs(10),
+        deadline: Duration::from_secs(30),
+        ..RetryPolicy::default()
+    };
+
+    let executed: u64 = std::thread::scope(|s| {
+        let legs: Vec<_> = (0..TENANTS)
+            .map(|t| {
+                let campaign = RemoteCampaign::new(script.clone(), &format!("tenant-{t}"))
+                    .with_policy(policy.clone())
+                    .with_codec(WireCodecKind::Binary)
+                    .with_pipeline_depth(32);
+                let transport = tcp_transport(&handle);
+                s.spawn(move || campaign.drive(transport).expect("drive campaign"))
+            })
+            .collect();
+        legs.into_iter()
+            .map(|leg| {
+                let report = leg.join().expect("tenant leg");
+                assert!(report.completed, "error: {:?}", report.error);
+                assert_eq!(report.executed, expected);
+                report.executed
+            })
+            .sum()
+    });
+
+    let drain = handle.drain().expect("drain");
+    assert_eq!(drain.stats.issues, executed, "each command executed once");
+    assert_eq!(drain.tenants.len(), TENANTS);
+    for tenant in &drain.tenants {
+        assert_eq!(
+            tenant.rows_flushed, tenant.issues,
+            "{}: every executed row reached the sink",
+            tenant.tenant
+        );
+    }
 }
