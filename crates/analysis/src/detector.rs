@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use rad_core::RadError;
 
@@ -191,14 +192,21 @@ impl PerplexityDetector {
             // whatever we saw.
             scores.first().copied().unwrap_or(1.0) * 3.0
         };
-        Ok(FittedDetector { lm, threshold })
+        Ok(FittedDetector {
+            lm: Arc::new(lm),
+            threshold,
+        })
     }
 }
 
 /// A fitted, deployable detector.
+///
+/// The model is immutable once fitted and shared: clones of the
+/// detector, and the streaming stages built from it, score through one
+/// copy.
 #[derive(Debug, Clone)]
 pub struct FittedDetector<T> {
-    lm: CommandLm<T>,
+    lm: Arc<CommandLm<T>>,
     threshold: f64,
 }
 
@@ -212,6 +220,11 @@ impl<T: Clone + Eq + Hash + Ord> FittedDetector<T> {
     /// its interned-id fast path instead of re-tokenizing per push.
     pub fn lm(&self) -> &CommandLm<T> {
         &self.lm
+    }
+
+    /// A shared handle on the fitted model.
+    pub(crate) fn shared_lm(&self) -> Arc<CommandLm<T>> {
+        Arc::clone(&self.lm)
     }
 
     /// Overrides the alarm threshold.

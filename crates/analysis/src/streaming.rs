@@ -38,6 +38,7 @@
 //! record per open run), never by the stream length.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use rad_core::{
     spec, Alert, AlertSink, CommandType, DeviceKind, ProcedureKind, RadError, RunId, SimInstant,
@@ -244,7 +245,9 @@ impl PerplexityStream {
 /// ```
 #[derive(Debug)]
 pub struct StreamingPerplexity<A> {
-    lm: CommandLm<CommandType>,
+    /// The detector's fitted model, shared with it and every other
+    /// stage built from it.
+    lm: Arc<CommandLm<CommandType>>,
     /// Dense command-token id → LM vocabulary id (unseen commands map
     /// to the pad id, exactly as batch scoring pads them).
     token_map: Vec<TokenId>,
@@ -263,7 +266,7 @@ impl<A: AlertSink> StreamingPerplexity<A> {
     /// A stage scoring through `detector`'s fitted model, with its
     /// calibrated threshold as a [`Threshold::Fixed`] policy.
     pub fn new(detector: &FittedDetector<CommandType>, policy: AlertPolicy, sink: A) -> Self {
-        let lm = detector.lm().clone();
+        let lm = detector.shared_lm();
         let token_map = CommandType::all()
             .iter()
             .map(|ct| lm.vocab().get_or_pad(ct))

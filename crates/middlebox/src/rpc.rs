@@ -109,11 +109,19 @@ impl DedupCache {
         self.entries.is_empty()
     }
 
-    /// Drops every entry (a new session must not replay an old one's
-    /// replies).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+    /// Drops every entry and frees the table and recency queue, leaving
+    /// the cache as [`DedupCache::new`] made it. Request ids are
+    /// per-session, so a session's end releases its cache: the next
+    /// session must not replay the old replies, and an idle tenant
+    /// holds no table.
+    pub fn release(&mut self) {
+        *self = DedupCache::new(self.capacity);
+    }
+
+    /// Whether the table or the recency queue holds an allocation.
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        self.entries.capacity() > 0 || self.order.capacity() > 0
     }
 
     /// The cached reply for `id`, refreshing its recency.
@@ -830,8 +838,9 @@ mod tests {
         assert!(cache.get(2).is_none());
         assert!(cache.get(1).is_some() && cache.get(3).is_some());
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
+        cache.release();
+        assert!(cache.is_empty() && !cache.is_allocated());
+        assert_eq!(cache.capacity(), 2, "release keeps the bound");
     }
 
     #[test]

@@ -75,8 +75,8 @@ use crate::wire;
 /// flag. Bounds both reap latency and drain latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Default bound on the per-tenant idempotent-replay cache, scoped per
-/// session. Tune via [`ServerConfig::dedup_capacity`].
+/// Default bound on a session's idempotent-replay cache. Tune via
+/// [`ServerConfig::dedup_capacity`].
 const SESSION_DEDUP_SIZE: usize = 1024;
 
 /// A connection waiting for a worker: any transport, socket or
@@ -431,10 +431,14 @@ pub struct ServerConfig {
     /// [`FaultPlan`] — the conformance matrix reruns its profiles
     /// behind a real wire with the exact same fault schedule.
     pub fault_plan: Option<FaultPlan>,
-    /// Bound on the per-tenant idempotent-replay cache (LRU). Retries
-    /// of the most recent `dedup_capacity` request ids replay their
+    /// Bound on a session's idempotent-replay cache (LRU). Retries of
+    /// the most recent `dedup_capacity` request ids replay their
     /// cached reply; older entries are evicted (and counted) so a
-    /// week-long campaign cannot grow memory without bound.
+    /// week-long session cannot grow memory without bound. Request ids
+    /// are per-session, and so is the cache: it is released, table and
+    /// all, when its session ends for any reason (`Bye`, disconnect,
+    /// idle reap, quarantine or drain), so a tenant between sessions
+    /// holds none of it.
     pub dedup_capacity: usize,
 }
 
@@ -645,6 +649,7 @@ struct TenantState {
     issues_done: u64,
     open_run: Option<u32>,
     gaps_forwarded: usize,
+    /// The bound session's reply cache; released when it ends.
     dedup: DedupCache,
 }
 
@@ -1049,12 +1054,14 @@ impl SessionContext {
         let mut bound: Option<Bound> = None;
         let end = self.session_loop(&*transport, &mut codec, &mut bound);
         // Whatever ended the session, the tenant's buffered work is
-        // flushed into its sink channel and the tenant freed for the
-        // next session — a mid-campaign kill loses nothing.
+        // flushed into its sink channel, the session's reply cache is
+        // released, and the tenant freed for the next session — a
+        // mid-campaign kill loses nothing.
         if let Some(Bound { tenant, .. }) = bound {
             {
                 let mut state = tenant.state.lock();
                 let _ = tenant.flush_state(&mut state, self.config.batch_rows, true);
+                state.dedup.release();
             }
             tenant.busy.store(false, Ordering::Release);
         }
@@ -1236,13 +1243,7 @@ impl SessionContext {
         }
         let session = self.session_ids.fetch_add(1, Ordering::Relaxed);
         self.stats.note_admitted();
-        let issues_done = {
-            let mut state = tenant.state.lock();
-            // Ids are per-session; a stale cache would replay the
-            // previous session's replies for fresh requests.
-            state.dedup.clear();
-            state.issues_done
-        };
+        let issues_done = tenant.state.lock().issues_done;
         *bound = Some(Bound { tenant, session });
         append_reply(
             batch,
@@ -2105,6 +2106,56 @@ mod tests {
         assert_eq!(server.stats().dedup_hits(), 1);
         assert_eq!(server.stats().issues(), 1, "no double execution");
         drop(client);
+        server.drain().unwrap();
+    }
+
+    #[test]
+    fn every_session_end_releases_the_dedup_cache() {
+        let config = ServerConfig {
+            idle_timeout: Duration::from_millis(150),
+            max_client_frame: 1024,
+            ..test_config()
+        };
+        let server = LabService::new(config).start();
+        for end in ["bye", "disconnect", "reap", "quarantine"] {
+            let mut client = TestClient::attach(&server).unwrap();
+            assert!(matches!(client.hello(end), WireReply::Welcome { .. }));
+            client.issue(CommandType::InitC9);
+            client.issue(CommandType::Home);
+            let tenant = Arc::clone(&server.tenants.lock()[end]);
+            assert_eq!(
+                tenant.state.lock().dedup.len(),
+                2,
+                "the live session caches"
+            );
+            match end {
+                "bye" => assert!(matches!(
+                    client.request(WireRequest::Bye),
+                    WireReply::Goodbye { .. }
+                )),
+                "disconnect" => drop(client),
+                // Go quiet past the idle timeout.
+                "reap" => {}
+                _ => client
+                    .transport
+                    .send(Bytes::copy_from_slice(&(64 * 1024u32).to_be_bytes()))
+                    .unwrap(),
+            }
+            // The session's clean-up frees the tenant last.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while tenant.busy.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "`{end}` never ended the session");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let state = tenant.state.lock();
+            assert!(state.dedup.is_empty(), "`{end}` left cached replies");
+            assert!(
+                !state.dedup.is_allocated(),
+                "`{end}` left the table allocated"
+            );
+        }
+        assert_eq!(server.stats().reaped(), 1);
+        assert_eq!(server.stats().quarantined(), 1);
         server.drain().unwrap();
     }
 

@@ -17,11 +17,17 @@
 //!   [`SegmentReader`]. A delta too large for one frame splits into
 //!   consecutive frames.
 //!
+//! Until a checkpoint, the store holds the rows appended since the last
+//! one as the bodies of the trace frames that logged them — the exact
+//! bytes in the WAL, one exact-size buffer per frame — and decodes them
+//! only when they are read or sealed. A store holds its unsealed rows
+//! at their encoded size.
+//!
 //! [`DurableStore::checkpoint`] is a seal plus a small manifest: the
-//! rows appended since the last checkpoint are sealed into segment
-//! files, and `checkpoint.json` names every sealed file with its row
-//! count, next to the documents. The WAL then restarts empty. No
-//! durable path ever renders a trace as JSON.
+//! held frames are decoded and sealed into segment files, and
+//! `checkpoint.json` names every sealed file with its row count, next
+//! to the documents. The held frames are then released and the WAL
+//! restarts empty. No durable path ever renders a trace as JSON.
 //!
 //! # On-disk layout
 //!
@@ -62,6 +68,7 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rad_core::{spec, RadError, TraceBatch};
@@ -161,14 +168,33 @@ struct Log {
 struct TraceStream {
     /// Sealed files in stream order, with their row counts.
     sealed: Vec<(String, u64)>,
-    /// Rows not yet sealed; their only durable copy is the WAL.
-    unsealed: TraceBatch,
+    /// Rows not yet sealed, in stream order, as the bodies of the WAL
+    /// trace frames that logged them: their segment images, byte for
+    /// byte. The WAL holds the only durable copy.
+    unsealed: Vec<Arc<[u8]>>,
+    /// Rows across `unsealed`.
+    unsealed_rows: u64,
 }
 
 impl TraceStream {
     fn len(&self) -> u64 {
         let sealed: u64 = self.sealed.iter().map(|(_, rows)| rows).sum();
-        sealed + self.unsealed.len() as u64
+        sealed + self.unsealed_rows
+    }
+
+    /// Holds the body of a trace frame of `rows` rows that extends the
+    /// stream.
+    fn hold(&mut self, body: Arc<[u8]>, rows: usize) {
+        self.unsealed.push(body);
+        self.unsealed_rows += rows as u64;
+    }
+
+    /// Decodes the held frames onto `out`, in stream order.
+    fn decode_unsealed(&self, out: &mut TraceBatch) -> Result<(), RadError> {
+        for body in &self.unsealed {
+            out.append_owned(decode_frame_body(Arc::clone(body))?);
+        }
+        Ok(())
     }
 }
 
@@ -219,7 +245,7 @@ impl DurableStore {
             if record.seq < report.checkpoint_next_seq {
                 continue; // already folded into the checkpoint
             }
-            if Self::apply_logged(&store, &mut stream, record.payload, &mut report)? {
+            if Self::apply_logged(&store, &mut stream, &record.payload, &mut report)? {
                 report.records_replayed += 1;
             }
         }
@@ -301,26 +327,28 @@ impl DurableStore {
     fn apply_logged(
         store: &DocumentStore,
         stream: &mut TraceStream,
-        mut payload: Vec<u8>,
+        payload: &[u8],
         report: &mut RecoveryReport,
     ) -> Result<bool, RadError> {
         match payload.first().copied() {
-            Some(b'{') => Self::apply_json(store, &payload).map(|()| true),
+            Some(b'{') => Self::apply_json(store, payload).map(|()| true),
             Some(TRACE_FRAME) => {
                 let first = payload
                     .get(1..FRAME_HEADER)
                     .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
                     .ok_or_else(|| RadError::Store("trace frame shorter than its header".into()))?;
-                payload.drain(..FRAME_HEADER);
-                let rows = SegmentReader::from_bytes("wal trace frame", payload)?.read_batch()?;
+                // Decoded once to validate every column; only the bytes
+                // are kept.
+                let body: Arc<[u8]> = Arc::from(&payload[FRAME_HEADER..]);
+                let rows = decode_frame_body(Arc::clone(&body))?.len();
                 let end = stream.len();
                 if first == end {
-                    stream.unsealed.append_owned(rows);
+                    stream.hold(body, rows);
                     Ok(true)
                 } else {
                     report.trace_frames_skipped += 1;
                     report.trace_rows_dropped += first
-                        .saturating_add(rows.len() as u64)
+                        .saturating_add(rows as u64)
                         .saturating_sub(end.max(first));
                     Ok(false)
                 }
@@ -475,7 +503,8 @@ impl DurableStore {
     /// Appends `rows` to the trace stream, durably. The rows are
     /// logged as trace frames in the segment encoding — one frame per
     /// 16,384 rows, fewer rows where that would pass the WAL's record
-    /// cap — before they join the stream. An empty batch logs nothing.
+    /// cap — before they join the stream, which holds each frame's
+    /// body until the next checkpoint. An empty batch logs nothing.
     ///
     /// # Errors
     ///
@@ -490,20 +519,20 @@ impl DurableStore {
         let mut start = 0;
         while start < rows.len() {
             let mut len = FRAME_ROWS.min(rows.len() - start);
-            let (piece, payload) = loop {
-                let piece = if len == rows.len() {
-                    rows.clone()
+            let payload = loop {
+                let first = log.stream.len();
+                let payload = if len == rows.len() {
+                    trace_frame(first, rows)
                 } else {
-                    rows.slice(start..start + len)
+                    trace_frame(first, &rows.slice(start..start + len))
                 };
-                let payload = trace_frame(log.stream.len(), &piece);
                 if payload.len() <= MAX_RECORD as usize || len == 1 {
-                    break (piece, payload);
+                    break payload;
                 }
                 len = len.div_ceil(2);
             };
             log.wal.append(&payload)?;
-            log.stream.unsealed.append_owned(piece);
+            log.stream.hold(Arc::from(&payload[FRAME_HEADER..]), len);
             start += len;
         }
         drop(log);
@@ -516,7 +545,8 @@ impl DurableStore {
     }
 
     /// Reads the whole trace stream: the sealed segments in order,
-    /// then the rows appended since the last checkpoint.
+    /// then the rows appended since the last checkpoint, decoded from
+    /// the frames the store holds.
     ///
     /// # Errors
     ///
@@ -529,7 +559,7 @@ impl DurableStore {
         for (name, _) in &log.stream.sealed {
             out.append_owned(SegmentReader::open(&self.segments_dir().join(name))?.read_batch()?);
         }
-        out.append(&log.stream.unsealed);
+        log.stream.decode_unsealed(&mut out)?;
         Ok(out)
     }
 
@@ -555,13 +585,15 @@ impl DurableStore {
     /// Checkpoints the store: a seal plus a small manifest.
     ///
     /// 1. The WAL is synced.
-    /// 2. The trace rows not yet sealed are sealed into segment files
-    ///    through [`SegmentWriter`], which fsyncs `segments/`.
+    /// 2. The held trace frames are decoded and their rows sealed into
+    ///    segment files through [`SegmentWriter`], which fsyncs
+    ///    `segments/`.
     /// 3. `checkpoint.json` — `next_seq`, `next_id`, the documents, and
     ///    every sealed trace file with its row count — is written
     ///    atomically.
-    /// 4. The store directory is fsynced, then the WAL restarts and
-    ///    retires the segments the checkpoint covers.
+    /// 4. The held frames are released, the store directory is
+    ///    fsynced, then the WAL restarts and retires the segments the
+    ///    checkpoint covers.
     ///
     /// A crash before step 3 completes leaves the previous checkpoint
     /// in force: any new seals are unnamed, and their rows are still
@@ -582,10 +614,12 @@ impl DurableStore {
         wal.sync()?;
         let mut sealed = stream.sealed.clone();
         if !stream.unsealed.is_empty() {
+            let mut unsealed = TraceBatch::with_capacity(stream.unsealed_rows as usize);
+            stream.decode_unsealed(&mut unsealed)?;
             let mut writer =
                 SegmentWriter::create(&self.segments_dir(), SegmentOptions::default())?
                     .with_injector(self.injector.as_ref());
-            for path in writer.seal_traces(&stream.unsealed)? {
+            for path in writer.seal_traces(&unsealed)? {
                 let rows = SegmentReader::open(&path)?.rows();
                 let name = path.file_name().unwrap_or_default().to_string_lossy();
                 sealed.push((name.into_owned(), rows));
@@ -612,8 +646,10 @@ impl DurableStore {
             manifest.to_string().as_bytes(),
             self.injector.as_ref(),
         )?;
-        stream.sealed = sealed;
-        stream.unsealed = TraceBatch::new();
+        *stream = TraceStream {
+            sealed,
+            ..TraceStream::default()
+        };
         sync_dir(&self.dir)?;
         wal.reset_after_checkpoint()?;
         self.ops_since_checkpoint.store(0, Ordering::Relaxed);
@@ -673,13 +709,18 @@ impl DurableStore {
 }
 
 /// A trace frame's payload: the tag, the stream position of the first
-/// row, then the rows' segment image.
+/// row, then the body — the rows' segment image.
 fn trace_frame(first: u64, rows: &TraceBatch) -> Vec<u8> {
     let mut payload = Vec::with_capacity(FRAME_HEADER + 64 * rows.len());
     payload.push(TRACE_FRAME);
     payload.extend_from_slice(&first.to_le_bytes());
     write_trace_segment(&mut payload, rows);
     payload
+}
+
+/// Decodes a trace frame's body, checking every column's CRC.
+fn decode_frame_body(body: Arc<[u8]>) -> Result<TraceBatch, RadError> {
+    SegmentReader::from_bytes("wal trace frame", body)?.read_batch()
 }
 
 /// Renames every `.seg` file in `dir` that the checkpoint does not name
@@ -1280,6 +1321,53 @@ mod tests {
             report.records_replayed, 2,
             "two frames, none for the empty batch"
         );
+        assert_eq!(store.read_traces().unwrap(), rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The bodies of the trace frames in the WAL under `dir`, in order.
+    fn wal_frame_bodies(dir: &Path) -> Vec<Vec<u8>> {
+        let (_wal, records, _) = Wal::open(dir, WalOptions::default(), None).unwrap();
+        records
+            .into_iter()
+            .filter(|r| r.payload.first() == Some(&TRACE_FRAME))
+            .map(|r| r.payload[FRAME_HEADER..].to_vec())
+            .collect()
+    }
+
+    fn held_frames(store: &DurableStore) -> Vec<Vec<u8>> {
+        let log = store.log.lock();
+        log.stream.unsealed.iter().map(|b| b.to_vec()).collect()
+    }
+
+    #[test]
+    fn unsealed_rows_are_held_as_the_wal_frame_bodies_until_checkpoint() {
+        let dir = tmpdir("held");
+        let rows = sample_batch(60);
+        let held = {
+            let (store, _) = DurableStore::open(&dir, options()).unwrap();
+            store.append_traces(&rows.slice(0..25)).unwrap();
+            store.insert("gaps", json!({"n": 1})).unwrap();
+            store.append_traces(&rows.slice(25..60)).unwrap();
+            store.sync().unwrap();
+            held_frames(&store)
+        };
+        let logged = wal_frame_bodies(&dir);
+        assert_eq!(logged.len(), 2, "one frame per append");
+        assert_eq!(held, logged, "appends hold the logged bytes");
+
+        let (store, _) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(held_frames(&store), logged, "replay holds them too");
+        assert_eq!(store.log.lock().stream.unsealed_rows, 60);
+        assert_eq!(store.read_traces().unwrap(), rows);
+
+        store.checkpoint().unwrap();
+        {
+            let log = store.log.lock();
+            assert_eq!(log.stream.unsealed.capacity(), 0, "released, not cleared");
+            assert_eq!(log.stream.unsealed_rows, 0);
+        }
+        assert_eq!(store.trace_rows(), 60);
         assert_eq!(store.read_traces().unwrap(), rows);
         let _ = fs::remove_dir_all(&dir);
     }

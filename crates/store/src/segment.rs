@@ -81,6 +81,7 @@ use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use rad_core::{
     DeviceId, DeviceKind, Label, ProcedureKind, RadError, RunId, TraceBatch, TraceColumns,
@@ -784,52 +785,52 @@ impl<'a> SegmentWriter<'a> {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let partitions: Vec<(String, Vec<usize>)> = if self.options.partition_by_device {
-            DeviceKind::all()
-                .iter()
-                .map(|&kind| {
-                    let rows: Vec<usize> = batch
-                        .devices()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| d.kind() == kind)
-                        .map(|(i, _)| i)
-                        .collect();
-                    (kind.name().to_lowercase(), rows)
-                })
-                .filter(|(_, rows)| !rows.is_empty())
-                .collect()
-        } else {
-            vec![("all".to_owned(), (0..batch.len()).collect())]
-        };
+        let per_segment = self.options.rows_per_segment.max(1);
         let mut paths = Vec::new();
-        for (part, rows) in partitions {
-            for chunk in rows.chunks(self.options.rows_per_segment.max(1)) {
-                // Fast path: a single whole-batch partition encodes the
-                // batch's columns directly, no gather.
-                let whole = chunk.len() == batch.len();
-                let gathered;
-                let piece = if whole {
-                    batch
+        if self.options.partition_by_device {
+            for kind in DeviceKind::all() {
+                let rows: Vec<usize> = batch
+                    .devices()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.kind() == kind)
+                    .map(|(i, _)| i)
+                    .collect();
+                let part = format!("trace-{}", kind.name().to_lowercase());
+                for chunk in rows.chunks(per_segment) {
+                    paths.push(self.write_trace_file(&part, &batch.select(chunk))?);
+                }
+            }
+        } else {
+            for start in (0..batch.len()).step_by(per_segment) {
+                let end = batch.len().min(start + per_segment);
+                let path = if end - start == batch.len() {
+                    // A batch that fits one segment encodes as it is.
+                    self.write_trace_file("trace-all", batch)?
                 } else {
-                    gathered = batch.select(chunk);
-                    &gathered
+                    self.write_trace_file("trace-all", &batch.slice(start..end))?
                 };
-                let path = self.next_path(&format!("trace-{part}"));
-                write_segment_file(
-                    &path,
-                    SegmentKind::Trace,
-                    piece.len() as u64,
-                    ZoneMap::for_traces(piece),
-                    None,
-                    &encode_trace_columns(piece),
-                    self.injector,
-                )?;
                 paths.push(path);
             }
         }
         sync_dir(&self.dir)?;
         Ok(paths)
+    }
+
+    /// Writes `piece` as the next `<stem>-NNNNNN.seg`, without the
+    /// directory fsync.
+    fn write_trace_file(&mut self, stem: &str, piece: &TraceBatch) -> Result<PathBuf, RadError> {
+        let path = self.next_path(stem);
+        write_segment_file(
+            &path,
+            SegmentKind::Trace,
+            piece.len() as u64,
+            ZoneMap::for_traces(piece),
+            None,
+            &encode_trace_columns(piece),
+            self.injector,
+        )?;
+        Ok(path)
     }
 
     /// Seals one power recording (metadata + full block) into a
@@ -920,11 +921,12 @@ fn corrupt(path: &Path, offset: u64, reason: impl Into<String>) -> RadError {
 }
 
 /// Where a [`SegmentReader`]'s bytes live: a sealed file, or a segment
-/// image in memory (the body of a WAL trace frame).
+/// image in memory (the body of a WAL trace frame), shared so a reader
+/// can decode a buffer its owner keeps.
 #[derive(Debug)]
 enum Source {
     File(File),
-    Bytes(Vec<u8>),
+    Bytes(Arc<[u8]>),
 }
 
 impl Source {
@@ -982,12 +984,14 @@ impl SegmentReader {
     /// A reader over a segment image held in memory, such as
     /// [`trace_segment_bytes`] produces. `label` stands in for the
     /// file name in errors and [`SegmentReader::path`]. Decoding runs
-    /// through the same column decoders as a file.
+    /// through the same column decoders as a file. An `Arc<[u8]>`
+    /// is read in place; any other buffer is copied into one.
     ///
     /// # Errors
     ///
     /// Same contract as [`SegmentReader::open`].
-    pub fn from_bytes(label: &str, bytes: Vec<u8>) -> Result<Self, RadError> {
+    pub fn from_bytes(label: &str, bytes: impl Into<Arc<[u8]>>) -> Result<Self, RadError> {
+        let bytes = bytes.into();
         let len = bytes.len() as u64;
         Self::from_source(PathBuf::from(label), Source::Bytes(bytes), len)
     }

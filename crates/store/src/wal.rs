@@ -77,12 +77,15 @@ const HEADER_LEN: usize = 16;
 pub(crate) const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven. Vendored shims provide no checksum
-// crate, and sixteen lines beat a dependency.
+// CRC-32 (IEEE 802.3), slicing-by-8. Vendored shims provide no checksum
+// crate, and a few dozen lines beat a dependency.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table: the CRC of each byte value.
+/// `CRC_TABLES[k][b]` is that CRC advanced through `k` further zero
+/// bytes, so one lookup per table folds eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -95,19 +98,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `data` — the per-frame integrity check.
+/// CRC-32 (IEEE) of `data` — the one checksum under WAL records,
+/// segment columns and footers, and binary wire frames.
 pub fn crc32(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t7[byte(lo, 0)]
+            ^ t6[byte(lo, 8)]
+            ^ t5[byte(lo, 16)]
+            ^ t4[byte(lo, 24)]
+            ^ t3[byte(hi, 0)]
+            ^ t2[byte(hi, 8)]
+            ^ t1[byte(hi, 16)]
+            ^ t0[byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        c = t0[byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

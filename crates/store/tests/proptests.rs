@@ -306,6 +306,41 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Through any sequence of appends, checkpoints and reopens,
+    /// `read_traces` is exactly the rows appended so far: held frames,
+    /// replayed frames and sealed segments join in stream order.
+    #[test]
+    fn read_traces_is_the_appended_rows_through_checkpoints_and_reopens(
+        traces in proptest::collection::vec(trace(), 1..60),
+        ops in proptest::collection::vec((0u8..5, 1usize..12), 1..16),
+    ) {
+        let dir = tmpdir("ops");
+        let rows = TraceBatch::from_traces(&traces);
+        let (mut store, _) = DurableStore::open(&dir, stream_options()).unwrap();
+        let mut appended = 0;
+        for (op, size) in ops {
+            match op {
+                // Appends are three times as likely as either other step.
+                0..=2 => {
+                    let end = rows.len().min(appended + size);
+                    store.append_traces(&rows.slice(appended..end)).unwrap();
+                    appended = end;
+                }
+                3 => store.checkpoint().unwrap(),
+                _ => {
+                    store.sync().unwrap();
+                    drop(store);
+                    let (reopened, report) = DurableStore::open(&dir, stream_options()).unwrap();
+                    prop_assert!(report.is_clean(), "{}", report);
+                    store = reopened;
+                }
+            }
+            prop_assert_eq!(store.trace_rows(), appended as u64);
+            prop_assert_eq!(store.read_traces().unwrap(), rows.slice(0..appended));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Cutting the last WAL segment at any byte recovers a prefix of
     /// the appended stream, never a shifted or invented row.
     #[test]

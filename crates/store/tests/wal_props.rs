@@ -7,11 +7,14 @@
 //! 3. a single flipped bit anywhere never panics recovery and never
 //!    yields a record that was not written.
 //!
+//! Beside them, the frame checksum (`crc32`, slicing-by-8) equals the
+//! byte-at-a-time CRC-32 definition on any length and alignment.
+//!
 //! Case counts honour `PROPTEST_CASES` (the CI crash-recovery job
 //! raises it to 512).
 
 use proptest::prelude::*;
-use rad_store::wal::{Wal, WalOptions, WalRecord};
+use rad_store::wal::{crc32, Wal, WalOptions, WalRecord};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +81,40 @@ fn assert_no_invented_records(recovered: &[WalRecord], written: &[Vec<u8>]) {
     }
 }
 
+/// CRC-32 (IEEE) by its definition: the reflected polynomial
+/// `0xEDB88320` shifted through one byte, one bit at a time.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The slicing-by-8 checksum equals the bytewise definition for
+    /// every length (whole words, a tail, or both) at every offset into
+    /// a buffer, so no alignment or remainder path drifts.
+    #[test]
+    fn crc32_matches_the_bytewise_definition(
+        data in proptest::collection::vec(0u8..=255, 0..600),
+        start in 0usize..600,
+        len in 0usize..600,
+    ) {
+        let start = start.min(data.len());
+        let end = start + len.min(data.len() - start);
+        let slice = &data[start..end];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+    }
 
     /// Round trip: every appended record comes back, in order, across
     /// however many rotations the segment budget forces.
