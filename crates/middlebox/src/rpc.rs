@@ -341,10 +341,9 @@ impl FrameCodec {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        if self.buf.len() < 4 {
+        let Some(len) = self.head_len() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
         if len > self.max_frame {
             let err = RadError::FrameTooLarge {
                 len,
@@ -358,6 +357,24 @@ impl FrameCodec {
         }
         self.buf.advance(4);
         Ok(Some(self.buf.split_to(len).freeze()))
+    }
+
+    /// Whether [`FrameCodec::next_frame`] would return without more
+    /// input: a complete frame is buffered, or the stream is poisoned
+    /// (including by a length prefix past the cap that `next_frame`
+    /// has not reached yet). Consumes nothing.
+    pub fn has_frame(&self) -> bool {
+        self.poisoned.is_some()
+            || self
+                .head_len()
+                .is_some_and(|len| len > self.max_frame || self.buf.len() >= 4 + len)
+    }
+
+    /// The length prefix of the buffered head frame, once all four of
+    /// its bytes have arrived.
+    fn head_len(&self) -> Option<usize> {
+        let prefix: [u8; 4] = self.buf.get(..4)?.try_into().expect("4 bytes");
+        Some(u32::from_be_bytes(prefix) as usize)
     }
 
     /// Discards all buffered bytes and clears the poison flag,

@@ -33,6 +33,65 @@ proptest! {
         prop_assert_eq!(decoded, payloads);
     }
 
+    /// `has_frame` predicts `next_frame` at every chunk boundary of any
+    /// framed stream: it is true exactly when the next call returns a
+    /// frame or an error instead of waiting for input, it consumes
+    /// nothing (every frame still decodes, in order), and it stays true
+    /// once an oversized length prefix has poisoned the codec.
+    #[test]
+    fn has_frame_is_true_exactly_when_next_frame_needs_no_input(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..120),
+            0..8,
+        ),
+        cuts in proptest::collection::vec(0usize..4096, 0..16),
+        oversized_tail in any::<bool>(),
+    ) {
+        let mut stream = BytesMut::new();
+        for p in &payloads {
+            stream.put_slice(&FrameCodec::encode(p));
+        }
+        if oversized_tail {
+            stream.put_u32(rad_middlebox::rpc::MAX_FRAME_BYTES as u32 + 1);
+        }
+        let stream: &[u8] = &stream;
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        bounds.push(stream.len());
+        bounds.sort_unstable();
+        let mut codec = FrameCodec::new();
+        let mut decoded: Vec<Vec<u8>> = Vec::new();
+        let mut poisoned = false;
+        let mut start = 0;
+        for end in bounds {
+            codec.push(&stream[start..end]);
+            start = end;
+            loop {
+                let ready = codec.has_frame();
+                match codec.next_frame() {
+                    Ok(Some(frame)) => {
+                        prop_assert!(ready, "a buffered frame went unreported");
+                        decoded.push(frame.to_vec());
+                    }
+                    Ok(None) => {
+                        prop_assert!(!ready, "reported a frame that had not arrived");
+                        break;
+                    }
+                    Err(_) => {
+                        prop_assert!(ready, "an oversized prefix went unreported");
+                        poisoned = true;
+                        break;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(decoded, payloads);
+        prop_assert_eq!(poisoned, oversized_tail);
+        if poisoned {
+            prop_assert!(codec.has_frame(), "a poisoned codec answers without input");
+            prop_assert!(codec.next_frame().is_err());
+        }
+    }
+
     /// A truncated stream never yields a phantom frame.
     #[test]
     fn truncation_yields_nothing_not_garbage(

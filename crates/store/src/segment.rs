@@ -79,6 +79,7 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -935,15 +936,58 @@ impl Source {
             Source::File(file) => file
                 .read_exact_at(buf, offset)
                 .map_err(|e| RadError::Store(format!("read segment {}: {e}", path.display()))),
-            Source::Bytes(bytes) => {
-                let start = usize::try_from(offset).unwrap_or(usize::MAX);
-                let src = start
-                    .checked_add(buf.len())
-                    .and_then(|end| bytes.get(start..end))
-                    .ok_or_else(|| corrupt(path, offset, "read past the end of the segment"))?;
-                buf.copy_from_slice(src);
+            Source::Bytes(image) => {
+                buf.copy_from_slice(&image[image_range(image, offset, buf.len(), path)?]);
                 Ok(())
             }
+        }
+    }
+
+    /// The `len` bytes at `offset`: read from a file into an owned
+    /// buffer, or shared from an in-memory image without a copy.
+    fn column(&self, offset: u64, len: usize, path: &Path) -> Result<Column, RadError> {
+        match self {
+            Source::File(_) => {
+                let mut bytes = vec![0u8; len];
+                self.read_exact_at(&mut bytes, offset, path)?;
+                Ok(Column::Owned(bytes))
+            }
+            Source::Bytes(image) => Ok(Column::Shared(
+                Arc::clone(image),
+                image_range(image, offset, len, path)?,
+            )),
+        }
+    }
+}
+
+/// Where `len` bytes at `offset` lie in an in-memory image.
+fn image_range(
+    image: &[u8],
+    offset: u64,
+    len: usize,
+    path: &Path,
+) -> Result<Range<usize>, RadError> {
+    let start = usize::try_from(offset).unwrap_or(usize::MAX);
+    start
+        .checked_add(len)
+        .filter(|&end| end <= image.len())
+        .map(|end| start..end)
+        .ok_or_else(|| corrupt(path, offset, "read past the end of the segment"))
+}
+
+/// A column payload that passed its CRC check: a file's column read
+/// into its own buffer, or the range of an in-memory image it spans.
+#[derive(Debug, Clone)]
+enum Column {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>, Range<usize>),
+}
+
+impl Column {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Column::Owned(bytes) => bytes,
+            Column::Shared(image, range) => &image[range.clone()],
         }
     }
 }
@@ -952,15 +996,17 @@ impl Source {
 ///
 /// The footer is read eagerly at open; column payloads are fetched
 /// with positioned reads only when a decode first needs them, then
-/// cached. [`SegmentReader::column_loaded`] makes the laziness
-/// testable: a device+time query must never load the `args` column.
+/// cached. An in-memory image's columns are CRC-checked and decoded
+/// in place, never copied. [`SegmentReader::column_loaded`] makes the
+/// laziness testable: a device+time query must never load the `args`
+/// column.
 #[derive(Debug)]
 pub struct SegmentReader {
     path: PathBuf,
     source: Source,
     body_len: u64,
     footer: Footer,
-    cache: Vec<Option<Vec<u8>>>,
+    cache: Vec<Option<Column>>,
 }
 
 impl SegmentReader {
@@ -1123,17 +1169,17 @@ impl SegmentReader {
     fn load_column(&mut self, idx: usize) -> Result<(), RadError> {
         if self.cache[idx].is_none() {
             let meta = &self.footer.columns[idx];
-            let mut bytes = vec![0u8; meta.len as usize];
-            self.source
-                .read_exact_at(&mut bytes, meta.offset, &self.path)?;
-            if crc32(&bytes) != meta.crc {
+            let column = self
+                .source
+                .column(meta.offset, meta.len as usize, &self.path)?;
+            if crc32(column.bytes()) != meta.crc {
                 return Err(corrupt(
                     &self.path,
                     meta.offset,
                     format!("column `{}` crc mismatch", meta.name),
                 ));
             }
-            self.cache[idx] = Some(bytes);
+            self.cache[idx] = Some(column);
         }
         Ok(())
     }
@@ -1144,7 +1190,7 @@ impl SegmentReader {
     }
 
     fn cached(&self, idx: usize) -> &[u8] {
-        self.cache[idx].as_deref().expect("column loaded")
+        self.cache[idx].as_ref().expect("column loaded").bytes()
     }
 
     fn decode_err(&self, name: &str, reason: String) -> RadError {
@@ -2120,6 +2166,32 @@ mod tests {
             assert!(!reader.column_loaded(untouched), "loaded `{untouched}`");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn in_memory_images_decode_in_place_and_reject_a_flipped_column_bit() {
+        let batch = synthesize(120);
+        let image: Arc<[u8]> = trace_segment_bytes(&batch).into();
+        let mut reader = SegmentReader::from_bytes("image", Arc::clone(&image)).unwrap();
+        assert!(!reader.column_loaded("args"), "opening loads no column");
+        assert_eq!(reader.read_batch().unwrap(), batch);
+        let columns = reader.footer.columns.clone();
+        for (idx, column) in columns.iter().enumerate() {
+            // Decoded in place: the checked bytes are the image's own.
+            let bytes = reader.cached(idx);
+            assert_eq!(bytes.as_ptr(), image[column.offset as usize..].as_ptr());
+            assert_eq!(bytes.len(), column.len as usize);
+        }
+        for column in columns.iter().filter(|c| c.len > 0) {
+            let mut damaged = image.to_vec();
+            damaged[(column.offset + column.len / 2) as usize] ^= 0x10;
+            let mut reader = SegmentReader::from_bytes("damaged", damaged).unwrap();
+            assert!(
+                matches!(reader.read_batch(), Err(RadError::SegmentCorrupt { .. })),
+                "a flipped bit in `{}` went unnoticed",
+                column.name
+            );
+        }
     }
 
     #[test]

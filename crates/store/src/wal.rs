@@ -680,13 +680,15 @@ impl Wal {
         }
 
         let seq = self.next_seq;
+        // One buffer, one copy of the payload: the CRC over
+        // seq ‖ payload is backfilled once both are in place.
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(payload);
+        let crc = crc32(&frame[8..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
 
         if let Some(err) = self.trip(CrashSite::MidRecord) {
             // Half the frame reaches the platter: the canonical torn

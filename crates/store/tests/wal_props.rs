@@ -8,7 +8,8 @@
 //!    yields a record that was not written.
 //!
 //! Beside them, the frame checksum (`crc32`, slicing-by-8) equals the
-//! byte-at-a-time CRC-32 definition on any length and alignment.
+//! byte-at-a-time CRC-32 definition on any length and alignment, and a
+//! fresh segment's bytes are exactly the documented frame layout.
 //!
 //! Case counts honour `PROPTEST_CASES` (the CI crash-recovery job
 //! raises it to 512).
@@ -114,6 +115,33 @@ proptest! {
         let end = start + len.min(data.len() - start);
         let slice = &data[start..end];
         prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+    }
+
+    /// A fresh segment is its records' frames back to back, each
+    /// exactly `len ‖ crc32(seq ‖ payload) ‖ seq ‖ payload` (little
+    /// endian), with the checksum by its bytewise definition.
+    #[test]
+    fn fresh_segment_bytes_are_the_documented_frames(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(0u8..=255, 0..96),
+            1..12,
+        ),
+    ) {
+        let dir = tmpdir("layout");
+        write_batch(&dir, &payloads, 1 << 20);
+
+        let mut want = Vec::new();
+        for (seq, payload) in payloads.iter().enumerate() {
+            let mut body = (seq as u64).to_le_bytes().to_vec();
+            body.extend_from_slice(payload);
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
+            want.extend_from_slice(&body);
+        }
+        let segs = segments(&dir);
+        prop_assert_eq!(segs.len(), 1);
+        prop_assert_eq!(fs::read(&segs[0]).unwrap(), want);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Round trip: every appended record comes back, in order, across

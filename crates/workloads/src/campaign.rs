@@ -424,7 +424,32 @@ impl CampaignBuilder {
         )
     }
 
-    fn run(&self, mut sink: Option<&mut CampaignSink<'_>>) -> Result<CampaignDataset, RadError> {
+    fn run(&self, sink: Option<&mut CampaignSink<'_>>) -> Result<CampaignDataset, RadError> {
+        let (session, journal) = self.simulate(sink)?;
+        let (command, power) = session.finish();
+        Ok(CampaignDataset {
+            command,
+            power,
+            journal,
+        })
+    }
+
+    /// The command half of [`CampaignBuilder::build`] alone: the same
+    /// simulation, without synthesizing the power recordings.
+    pub(crate) fn build_commands(&self) -> CommandDataset {
+        let (session, _journal) = self
+            .simulate(None)
+            .expect("a campaign without a durable sink cannot fail");
+        session.finish_commands()
+    }
+
+    /// Runs every procedure of the campaign on a fresh session, handing
+    /// each finished run to `sink`; returns the session, still holding
+    /// what it recorded, and the procedure journal.
+    fn simulate(
+        &self,
+        mut sink: Option<&mut CampaignSink<'_>>,
+    ) -> Result<(Session, Vec<ProcedureRun>), RadError> {
         let mut session = match &self.spec.fault_plan {
             Some(plan) => Session::with_middlebox(
                 Middlebox::new(self.spec.seed).with_fault_plan(plan.clone()),
@@ -516,12 +541,7 @@ impl CampaignBuilder {
         }
 
         flush_sink(&mut sink, &session, &journal)?;
-        let (command, power) = session.finish();
-        Ok(CampaignDataset {
-            command,
-            power,
-            journal,
-        })
+        Ok((session, journal))
     }
 
     /// Per-device trace-count targets.

@@ -25,7 +25,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use rad_core::{
-    spec, Command, DeviceId, Label, ProcedureKind, RadError, RunId, TraceGap, TraceMode, Value,
+    spec, Command, DeviceId, Label, ProcedureKind, RadError, RunId, TraceGap, TraceMode, TraceRow,
+    Value,
 };
 use rad_devices::LabRig;
 use rad_middlebox::rpc::{FrameCodec, RetryPolicy, Transport};
@@ -85,29 +86,36 @@ pub struct CampaignScript {
 
 impl CampaignScript {
     /// The supervised portion of the seeded campaign as a script:
-    /// every run boundary and every traced command, in time order.
+    /// every run boundary and every traced command, in time order
+    /// (rows with equal timestamps keep their capture order). Only the
+    /// campaign's commands are simulated; its power recordings are
+    /// never synthesized.
     pub fn supervised(seed: u64) -> Self {
-        let dataset = CampaignBuilder::new(seed).supervised_only().build();
-        let mut traces = dataset.command().traces();
-        traces.sort_by_key(|t| t.timestamp());
-        let runs = dataset.command().runs().to_vec();
-        let mut steps = Vec::with_capacity(traces.len() + runs.len() * 2);
+        let dataset = CampaignBuilder::new(seed)
+            .supervised_only()
+            .build_commands();
+        let mut rows: Vec<TraceRow<'_>> = dataset.batch().iter().collect();
+        rows.sort_by_key(TraceRow::timestamp);
+        let mut steps = Vec::with_capacity(rows.len() + dataset.runs().len() * 2);
         let mut open: Option<RunId> = None;
-        for trace in &traces {
-            if trace.run_id() != open {
+        for row in &rows {
+            if row.run_id() != open {
                 if open.is_some() {
                     steps.push(ScriptStep::End);
                 }
-                open = trace.run_id();
-                if let Some(run) = trace.run_id() {
+                open = row.run_id();
+                if let Some(run) = row.run_id() {
                     steps.push(ScriptStep::Begin {
                         run: run.0,
-                        procedure: trace.procedure(),
-                        label: trace.label(),
+                        procedure: row.procedure(),
+                        label: row.label(),
                     });
                 }
             }
-            steps.push(ScriptStep::Command(trace.command().clone()));
+            steps.push(ScriptStep::Command(Command::new(
+                row.command_type(),
+                row.args().to_vec(),
+            )));
         }
         if open.is_some() {
             steps.push(ScriptStep::End);
@@ -246,8 +254,10 @@ impl<T: Transport> RemoteSession<T> {
     }
 
     /// Executes a batch of commands with up to `depth` requests in
-    /// flight: the window is topped up with one coalesced write,
-    /// replies are reconciled oldest first against their correlation
+    /// flight: the first `depth` go out in one coalesced write, and
+    /// after that the window is topped up with one write per received
+    /// chunk of replies, once the replies it holds are consumed.
+    /// Replies are reconciled oldest first against their correlation
     /// ids, and a timeout re-sends *every* pending request in one
     /// write — the ids double as idempotency tokens, so the server
     /// replays cached replies instead of re-executing. Device faults
@@ -366,10 +376,15 @@ impl<T: Transport> RemoteSession<T> {
     }
 
     /// The one send/await/retry loop every request runs through: sends
-    /// `count` requests with up to `depth` in flight, topping the window
-    /// up in one write whenever the oldest reply arrives, and pushes
-    /// each reply, oldest first, through `accept` onto `results`.
-    /// Request `i` travels under id `next_id + i`.
+    /// `count` requests with up to `depth` in flight and pushes each
+    /// reply, oldest first, through `accept` onto `results`. Request
+    /// `i` travels under id `next_id + i`.
+    ///
+    /// The window is topped up in one write once every reply already
+    /// received is consumed (or nothing is in flight), so each chunk of
+    /// replies the transport delivers costs one write of as many frames.
+    /// A window of one (lock-step `issue`, `Hello`, every control
+    /// request) therefore sends each request as its own write.
     ///
     /// A timeout re-sends the whole window in one write under the same
     /// ids — whatever executed before the loss replays from the
@@ -393,7 +408,8 @@ impl<T: Transport> RemoteSession<T> {
         while results.len() < count {
             let done = results.len();
             let upto = count.min(done + depth);
-            if sent < upto {
+            // Refill only once the buffered replies are consumed.
+            if sent < upto && (sent == done || !self.codec.has_frame()) {
                 self.next_id = first_id + upto as u64;
                 self.send_window(first_id, sent..upto, &request)?;
                 sent = upto;
@@ -1172,6 +1188,47 @@ mod tests {
             }
         }
         assert_eq!(depth, 0, "every run closes");
+    }
+
+    /// The script as first extracted: from the full build (power
+    /// synthesized), every trace materialized, stably sorted by time.
+    fn script_from_materialized_traces(seed: u64) -> CampaignScript {
+        let dataset = CampaignBuilder::new(seed).supervised_only().build();
+        let mut traces = dataset.command().traces();
+        traces.sort_by_key(|t| t.timestamp());
+        let mut steps = Vec::new();
+        let mut open: Option<RunId> = None;
+        for trace in &traces {
+            if trace.run_id() != open {
+                if open.is_some() {
+                    steps.push(ScriptStep::End);
+                }
+                open = trace.run_id();
+                if let Some(run) = open {
+                    steps.push(ScriptStep::Begin {
+                        run: run.0,
+                        procedure: trace.procedure(),
+                        label: trace.label(),
+                    });
+                }
+            }
+            steps.push(ScriptStep::Command(trace.command().clone()));
+        }
+        if open.is_some() {
+            steps.push(ScriptStep::End);
+        }
+        CampaignScript::from_steps(steps)
+    }
+
+    #[test]
+    fn script_from_command_rows_matches_the_materialized_construction() {
+        for seed in 0..8 {
+            assert_eq!(
+                CampaignScript::supervised(seed),
+                script_from_materialized_traces(seed),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -263,6 +263,12 @@ impl Session {
     pub fn finish(self) -> (CommandDataset, PowerDataset) {
         (self.middlebox.into_dataset(), self.monitor.into_dataset())
     }
+
+    /// Finishes the session's command half only; the power recordings
+    /// are dropped unsynthesized.
+    pub(crate) fn finish_commands(self) -> CommandDataset {
+        self.middlebox.into_dataset()
+    }
 }
 
 #[cfg(test)]

@@ -17,16 +17,25 @@
 //!    binary campaigns at once each execute every command exactly
 //!    once, and every executed row reaches its tenant's sink.
 //!
+//! Beside them, the window's write pattern is pinned: a pipelined batch
+//! returns what lock-step issues return, tops its window up with one
+//! write per received chunk of replies, and never has more than
+//! `depth` requests in flight.
+//!
 //! The first two hold because the server's clock is command-count
 //! driven and the fault plan interposes inside the tenant's middlebox
 //! — pacing and encoding cannot perturb what lands in the sink, and
 //! this suite pins that.
 
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
+
+use bytes::Bytes;
 
 use rad::prelude::*;
 use rad_middlebox::TenantSinkStack;
+use rad_workloads::ScriptStep;
 
 const SEED: u64 = 42;
 const TENANT: &str = "conformance";
@@ -287,6 +296,138 @@ fn concurrent_pipelined_tenants_execute_and_flush_exactly_once() {
             tenant.rows_flushed, tenant.issues,
             "{}: every executed row reached the sink",
             tenant.tenant
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The pipelined window's writes.
+// ---------------------------------------------------------------------
+
+/// What a [`CountingTransport`] saw: client writes, and request frames
+/// in flight (sent minus replies received).
+#[derive(Debug, Default)]
+struct WireCounts {
+    writes: AtomicUsize,
+    in_flight: AtomicUsize,
+    peak_in_flight: AtomicUsize,
+}
+
+/// The client end of a [`Duplex`] link that counts its writes and the
+/// frames crossing it in each direction.
+struct CountingTransport {
+    inner: Duplex,
+    counts: Arc<WireCounts>,
+    /// One codec per direction, so frames are counted however the
+    /// chunks split them.
+    codecs: Mutex<(FrameCodec, FrameCodec)>,
+}
+
+/// Whole frames buffered in `codec` once `chunk` is appended.
+fn frames_in(codec: &mut FrameCodec, chunk: &[u8]) -> usize {
+    codec.push(chunk);
+    std::iter::from_fn(|| codec.next_frame().expect("well-framed wire")).count()
+}
+
+impl Transport for CountingTransport {
+    fn send(&self, chunk: Bytes) -> Result<(), RadError> {
+        let frames = frames_in(&mut self.codecs.lock().unwrap().0, &chunk);
+        self.counts.writes.fetch_add(1, Ordering::Relaxed);
+        let in_flight = self.counts.in_flight.fetch_add(frames, Ordering::Relaxed) + frames;
+        self.counts
+            .peak_in_flight
+            .fetch_max(in_flight, Ordering::Relaxed);
+        self.inner.send(chunk)
+    }
+
+    fn recv(&self, timeout: Duration) -> Result<Bytes, RadError> {
+        let chunk = self.inner.recv(timeout)?;
+        let frames = frames_in(&mut self.codecs.lock().unwrap().1, &chunk);
+        self.counts.in_flight.fetch_sub(frames, Ordering::Relaxed);
+        Ok(chunk)
+    }
+}
+
+/// The first `n` commands of the seeded supervised script: a real mix
+/// of devices, values and device faults.
+fn script_commands(n: usize) -> Vec<Command> {
+    CampaignScript::supervised(SEED)
+        .truncated(n)
+        .steps()
+        .iter()
+        .filter_map(|step| match step {
+            ScriptStep::Command(command) => Some(command.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A session on a fresh in-process lab service, over a counting link.
+fn counted_session() -> (
+    ServerHandle,
+    RemoteSession<CountingTransport>,
+    Arc<WireCounts>,
+) {
+    let server = LabService::new(ServerConfig {
+        seed: SEED,
+        ..ServerConfig::default()
+    })
+    .start();
+    let (client_side, server_side) = Duplex::pair();
+    server.attach(server_side).expect("admitted");
+    let counts = Arc::new(WireCounts::default());
+    let transport = CountingTransport {
+        inner: client_side,
+        counts: Arc::clone(&counts),
+        codecs: Mutex::new((FrameCodec::new(), FrameCodec::new())),
+    };
+    let session = RemoteSession::connect_with(
+        transport,
+        TENANT,
+        RetryPolicy::default(),
+        WireCodecKind::Binary,
+    )
+    .expect("hello");
+    (server, session, counts)
+}
+
+#[test]
+fn pipelined_window_refills_once_per_received_chunk() {
+    for (n, depth) in [(320usize, 32usize), (100, 1), (100, 7), (100, 32)] {
+        let commands = script_commands(n);
+        assert_eq!(commands.len(), n);
+        let refs: Vec<&Command> = commands.iter().collect();
+
+        let (server, mut lock_step, _) = counted_session();
+        let want: Vec<_> = refs
+            .iter()
+            .map(|command| lock_step.issue(command).expect("lock-step issue"))
+            .collect();
+        lock_step.bye().expect("bye");
+        server.drain().expect("drain");
+
+        let (server, mut pipelined, counts) = counted_session();
+        let writes_before = counts.writes.load(Ordering::Relaxed);
+        let got = pipelined
+            .issue_pipelined(&refs, depth)
+            .unwrap_or_else(|e| panic!("n {n} depth {depth}: {}", e.error));
+        let writes = counts.writes.load(Ordering::Relaxed) - writes_before;
+        pipelined.bye().expect("bye");
+        server.drain().expect("drain");
+
+        assert_eq!(
+            got, want,
+            "n {n} depth {depth}: results diverge from lock-step"
+        );
+        assert!(
+            writes <= n.div_ceil(depth),
+            "n {n} depth {depth}: {writes} client writes, at most {} expected",
+            n.div_ceil(depth)
+        );
+        let peak = counts.peak_in_flight.load(Ordering::Relaxed);
+        assert!(
+            peak <= depth,
+            "n {n} depth {depth}: {peak} requests in flight"
         );
     }
 }
