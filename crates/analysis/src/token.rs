@@ -224,7 +224,6 @@ mod tests {
         // Tiny rows_per_segment forces a multi-segment corpus.
         let options = SegmentOptions {
             rows_per_segment: 2,
-            ..SegmentOptions::default()
         };
         SegmentWriter::create(&dir, options)
             .unwrap()

@@ -4,8 +4,8 @@
 //! [`Alert`] per threshold crossing *as traces arrive*, instead of a
 //! post-hoc score table. Alerts are plain records — device, run,
 //! window span, score, threshold, detector id — so they ride the same
-//! persistence plumbing as traces and gaps: document-store
-//! collections, `alerts.csv` in export bundles, manifest counts.
+//! persistence plumbing as traces and gaps: `alerts.csv` in export
+//! bundles, manifest counts.
 //!
 //! [`AlertSink`] mirrors [`TraceSink`](crate::TraceSink): a stage that
 //! detects composes with a stage that records by construction, and the

@@ -74,6 +74,6 @@ pub use server::{
     ServerStatsSnapshot, SinkFactory, SocketTransport, TenantDrain, TenantSinkStack, WireFrame,
     WireReply, WireRequest,
 };
-pub use sinks::{DurableSink, MirrorSink};
+pub use sinks::DurableSink;
 pub use tracer::Tracer;
 pub use wire::WireCodecKind;

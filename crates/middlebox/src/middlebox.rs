@@ -164,7 +164,7 @@ impl Middlebox {
         self
     }
 
-    /// Replaces the tracer (e.g. one with a document-store mirror).
+    /// Replaces the tracer (e.g. one with a durable sink attached).
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;

@@ -1,35 +1,20 @@
-//! Store-backed trace sinks: the document-store mirror and the
-//! durable WAL sink, as [`TraceSink`] implementations.
+//! The store-backed trace sink: the durable WAL sink, as a
+//! [`TraceSink`] implementation.
 //!
 //! RATracer logs every intercepted access "to a MongoDB instance or a
-//! .csv file" (Fig. 3). These adapters put those destinations on the
+//! .csv file" (Fig. 3). [`DurableSink`] puts the durable store on the
 //! composable sink plane, so the tracer's fan-out is just a stack —
-//! `mirror.tee(durable)` — instead of bespoke per-destination fields.
-//! The mirror's document shapes are exactly what the bespoke paths
-//! emitted, so a mirror populated through a sink stack is
-//! byte-identical to one populated record-by-record. The durable sink
-//! keeps whole rows in the store's columnar trace stream instead.
+//! `durable.tee(detector)` — instead of bespoke per-destination
+//! fields. It keeps whole rows in the store's columnar trace stream,
+//! which checkpoints seal into queryable segments.
 
 use std::sync::Arc;
 
-use rad_core::{RadError, TraceBatch, TraceGap, TraceRow, TraceSink};
-use rad_store::{DocumentStore, DurableStore};
+use rad_core::{RadError, TraceBatch, TraceGap, TraceSink};
+use rad_store::DurableStore;
 use serde_json::{json, Value as Json};
 
-/// The mirror document for one trace row (collection `"traces"`).
-fn trace_doc(row: &TraceRow<'_>) -> Json {
-    json!({
-        "trace_id": row.id().0,
-        "timestamp_us": row.timestamp().as_micros(),
-        "device": row.device().kind().to_string(),
-        "command": row.command_type().mnemonic(),
-        "mode": row.mode().to_string(),
-        "exception": row.exception(),
-        "response_time_us": row.response_time().as_micros(),
-    })
-}
-
-/// The mirror document for one trace gap (collection `"gaps"`).
+/// The document for one trace gap (collection `"gaps"`).
 fn gap_doc(gap: &TraceGap) -> Json {
     json!({
         "timestamp_us": gap.timestamp.as_micros(),
@@ -41,51 +26,13 @@ fn gap_doc(gap: &TraceGap) -> Json {
     })
 }
 
-/// Mirrors every record into a [`DocumentStore`] (`"traces"` /
-/// `"gaps"` collections), like RATracer's MongoDB sink. A full mirror
-/// failing must not lose the in-memory record, so store errors are
-/// swallowed — this sink never reports failure.
-#[derive(Debug, Clone)]
-pub struct MirrorSink {
-    store: Arc<DocumentStore>,
-}
-
-impl MirrorSink {
-    /// A sink mirroring into `store`.
-    pub fn new(store: Arc<DocumentStore>) -> Self {
-        MirrorSink { store }
-    }
-
-    /// The mirrored store.
-    pub fn store(&self) -> &Arc<DocumentStore> {
-        &self.store
-    }
-}
-
-impl TraceSink for MirrorSink {
-    fn accept(&mut self, batch: &TraceBatch) -> Result<(), RadError> {
-        for row in batch.iter() {
-            // The store only rejects non-objects, which cannot happen
-            // here; ignore the result defensively.
-            let _ = self.store.insert("traces", trace_doc(&row));
-        }
-        Ok(())
-    }
-
-    fn accept_gap(&mut self, gap: &TraceGap) -> Result<(), RadError> {
-        let _ = self.store.insert("gaps", gap_doc(gap));
-        Ok(())
-    }
-}
-
 /// Writes every record through a [`DurableStore`]'s write-ahead log so
 /// traces survive a process crash. Each accepted batch is appended to
 /// the store's trace stream — whole rows, arguments, return value, run
 /// and label included — as one columnar WAL frame; the store's next
 /// checkpoint seals it into segment files. Gaps stay `"gaps"`
-/// documents. Unlike [`MirrorSink`], failures *are* reported; the
-/// caller decides whether to degrade gracefully (the tracer counts
-/// them) or abort.
+/// documents. Failures are reported; the caller decides whether to
+/// degrade gracefully (the tracer counts them) or abort.
 #[derive(Debug, Clone)]
 pub struct DurableSink {
     store: Arc<DurableStore>,
@@ -120,10 +67,7 @@ impl TraceSink for DurableSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rad_core::{
-        Command, CommandType, DeviceId, SimInstant, TraceId, TraceObject, TraceSinkExt,
-    };
-    use rad_store::Filter;
+    use rad_core::{Command, CommandType, DeviceId, SimInstant, TraceId, TraceObject};
 
     fn batch(n: u64) -> TraceBatch {
         TraceBatch::from_traces(
@@ -139,28 +83,6 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         )
-    }
-
-    #[test]
-    fn mirror_sink_emits_the_legacy_doc_shape() {
-        let store = Arc::new(DocumentStore::new());
-        let mut sink = MirrorSink::new(Arc::clone(&store));
-        sink.accept(&batch(3)).unwrap();
-        assert_eq!(store.count("traces", &Filter::all()), 3);
-        let docs = store.find("traces", &Filter::eq("trace_id", json!(1)));
-        assert_eq!(docs[0]["command"], json!("ARM"));
-        assert_eq!(docs[0]["device"], json!("C9"));
-        assert_eq!(docs[0]["mode"], json!("DIRECT"));
-    }
-
-    #[test]
-    fn tee_of_mirror_and_counting_duplicates_the_stream() {
-        let store = Arc::new(DocumentStore::new());
-        let mut stack = MirrorSink::new(Arc::clone(&store)).tee(rad_core::CountingSink::default());
-        stack.accept(&batch(4)).unwrap();
-        let (_, counting) = stack.into_inner();
-        assert_eq!(counting.traces, 4);
-        assert_eq!(store.count("traces", &Filter::all()), 4);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! simulated clock and the trace-id counter, stamps each access, tags
 //! it with the active procedure run (if any), and emits the record
 //! into a columnar [`TraceBatch`] plus an arbitrary [`TraceSink`]
-//! stack. The legacy destinations — a [`DocumentStore`] mirror and a
-//! durable WAL — are just sinks now ([`crate::sinks`]), composed with
-//! `tee` instead of held as bespoke fields.
+//! stack. The durable WAL is just a sink ([`crate::sinks`]), teed with
+//! any others instead of held as a bespoke field.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,9 +17,9 @@ use rad_core::{
     SimDuration, SimInstant, Tee, TraceBatch, TraceGap, TraceId, TraceMode, TraceObject, TraceSink,
     Value,
 };
-use rad_store::{CommandDataset, DocumentStore, DurableStore};
+use rad_store::{CommandDataset, DurableStore};
 
-use crate::sinks::{DurableSink, MirrorSink};
+use crate::sinks::DurableSink;
 
 /// The active procedure-run context applied to new traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +89,7 @@ impl Tracer {
         self
     }
 
-    /// Mirrors every record into `store` (collection `"traces"`), like
-    /// RATracer's MongoDB sink. Sugar for
-    /// [`Tracer::with_sink`]`(MirrorSink::new(store))`.
-    #[must_use]
-    pub fn with_mirror(self, store: Arc<DocumentStore>) -> Self {
-        self.with_sink(Box::new(MirrorSink::new(store)))
-    }
-
-    /// Mirrors every record and gap through `store`'s write-ahead log,
+    /// Logs every record and gap through `store`'s write-ahead log,
     /// so traces survive a process crash. Sink failures are counted
     /// ([`Tracer::durable_errors`]) but never propagated — losing the
     /// durable copy must not lose the in-memory record too, matching
@@ -181,9 +172,9 @@ impl Tracer {
         self.total_recorded += 1;
         *self.device_counts.entry(device.kind()).or_insert(0) += 1;
         if let Some(sink) = &mut self.sink {
-            // Per-record emission keeps the mirror visible immediately
-            // (tests and live inspection rely on it); the scratch batch
-            // is reused so the hot path never allocates columns.
+            // Per-record emission keeps every sink current (live teed
+            // detectors rely on it); the scratch batch is reused so the
+            // hot path never allocates columns.
             self.scratch.clear();
             self.scratch.push(&trace);
             if sink.accept(&self.scratch).is_err() {
@@ -196,7 +187,7 @@ impl Tracer {
 
     /// Records a trace gap: a command that executed untraced because
     /// the middlebox was unavailable. Tagged with the active run (if
-    /// any) and forwarded to the sink stack (the mirror's `"gaps"`
+    /// any) and forwarded to the sink stack (a durable sink's `"gaps"`
     /// collection), so the loss is as visible as a trace would have
     /// been.
     pub fn record_gap(
@@ -326,6 +317,7 @@ impl Default for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CollectingSink;
     use rad_core::{CommandType, DeviceKind};
 
     fn record_one(tracer: &mut Tracer, ct: CommandType) -> TraceId {
@@ -379,18 +371,18 @@ mod tests {
     }
 
     #[test]
-    fn mirror_receives_every_record() {
-        let store = Arc::new(DocumentStore::new());
-        let mut tracer = Tracer::new().with_mirror(Arc::clone(&store));
+    fn sink_receives_every_record() {
+        let sink = CollectingSink::new();
+        let mut tracer = Tracer::new().with_sink(Box::new(sink.clone()));
         record_one(&mut tracer, CommandType::Arm);
         record_one(&mut tracer, CommandType::TecanGetStatus);
-        assert_eq!(store.count("traces", &rad_store::Filter::all()), 2);
+        assert_eq!(sink.traces(), tracer.traces());
     }
 
     #[test]
-    fn gaps_inherit_run_context_and_reach_the_mirror() {
-        let store = Arc::new(DocumentStore::new());
-        let mut tracer = Tracer::new().with_mirror(Arc::clone(&store));
+    fn gaps_inherit_run_context_and_reach_the_sink() {
+        let sink = CollectingSink::new();
+        let mut tracer = Tracer::new().with_sink(Box::new(sink.clone()));
         tracer.begin_run(RunId(7), ProcedureKind::JoystickMovements, Label::Benign);
         tracer.record_gap(
             DeviceId::primary(DeviceKind::C9),
@@ -408,14 +400,14 @@ mod tests {
         assert_eq!(tracer.gaps().len(), 2);
         assert_eq!(tracer.gaps()[0].run_id, Some(RunId(7)));
         assert_eq!(tracer.gaps()[1].run_id, None);
-        assert_eq!(store.count("gaps", &rad_store::Filter::all()), 2);
+        assert_eq!(sink.gaps(), tracer.gaps());
         let ds = tracer.into_dataset();
         assert_eq!(ds.gaps().len(), 2);
     }
 
     #[test]
     fn durable_sink_survives_reopen() {
-        use rad_store::{DurableOptions, Filter};
+        use rad_store::DurableOptions;
         let dir = std::env::temp_dir().join(format!("rad-tracer-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let recorded = {
@@ -437,7 +429,7 @@ mod tests {
         let (durable, report) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.records_replayed, 3);
         assert_eq!(durable.read_traces().unwrap(), recorded);
-        assert_eq!(durable.count("gaps", &Filter::all()), 1);
+        assert_eq!(durable.count("gaps"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -463,19 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn mirror_and_durable_tee_both_receive_records() {
-        use rad_store::{DurableOptions, Filter};
+    fn second_sink_tees_with_the_durable_sink() {
+        use rad_store::DurableOptions;
         let dir = std::env::temp_dir().join(format!("rad-tracer-tee-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (durable, _) = DurableStore::open(&dir, DurableOptions::default()).unwrap();
-        let mirror = Arc::new(DocumentStore::new());
+        let collected = CollectingSink::new();
         let durable = Arc::new(durable);
         let mut tracer = Tracer::new()
-            .with_mirror(Arc::clone(&mirror))
+            .with_sink(Box::new(collected.clone()))
             .with_durable_sink(Arc::clone(&durable));
         record_one(&mut tracer, CommandType::Arm);
         record_one(&mut tracer, CommandType::Mvng);
-        assert_eq!(mirror.count("traces", &Filter::all()), 2);
+        assert_eq!(collected.len(), 2);
         assert_eq!(&durable.read_traces().unwrap(), tracer.batch());
         let _ = std::fs::remove_dir_all(&dir);
     }

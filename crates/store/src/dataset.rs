@@ -17,9 +17,6 @@ use rad_core::{
     TraceObject, TraceSink,
 };
 use rad_power::{CurrentProfile, PowerBlock, PowerSink, RecordingMeta};
-use serde_json::json;
-
-use crate::document::DocumentStore;
 
 use rad_core::RadError as Error;
 
@@ -228,51 +225,6 @@ impl CommandDataset {
         let mut out = Vec::new();
         crate::csv::write_traces_csv(&mut out, &self.batch).expect("writing to memory cannot fail");
         String::from_utf8(out).expect("csv output is utf-8")
-    }
-
-    /// Inserts every trace as a document into `store` under the
-    /// `"traces"` collection and every run under `"runs"`, mirroring
-    /// RATracer's MongoDB sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`rad_core::RadError::Store`] from the store.
-    pub fn store_into(&self, store: &DocumentStore) -> Result<(), Error> {
-        for t in self.batch.iter() {
-            let doc = json!({
-                "trace_id": t.id().0,
-                "timestamp_us": t.timestamp().as_micros(),
-                "device": t.device().kind().to_string(),
-                "command": t.command_type().mnemonic(),
-                "mode": t.mode().to_string(),
-                "exception": t.exception(),
-                "response_time_us": t.response_time().as_micros(),
-                "procedure": t.procedure().paper_id(),
-                "run_id": t.run_id().map(|r| r.0),
-            });
-            store.insert("traces", doc)?;
-        }
-        for r in &self.runs {
-            let doc = json!({
-                "run_id": r.run_id().0,
-                "procedure": r.kind().paper_id(),
-                "label": r.label().to_string(),
-                "note": r.operator_note(),
-            });
-            store.insert("runs", doc)?;
-        }
-        for g in &self.gaps {
-            let doc = json!({
-                "timestamp_us": g.timestamp.as_micros(),
-                "device": g.device.kind().to_string(),
-                "command": g.command.mnemonic(),
-                "intended_mode": g.intended_mode.to_string(),
-                "reason": g.reason,
-                "run_id": g.run_id.map(|r| r.0),
-            });
-            store.insert("gaps", doc)?;
-        }
-        Ok(())
     }
 
     /// Merges another dataset into this one.
@@ -496,21 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn store_into_creates_both_collections() {
-        let ds = labelled_dataset();
-        let store = DocumentStore::new();
-        ds.store_into(&store).unwrap();
-        assert_eq!(
-            store.collection_names(),
-            vec!["runs".to_owned(), "traces".to_owned()]
-        );
-        assert_eq!(
-            store.count("traces", &crate::Filter::eq("device", json!("C9"))),
-            3
-        );
-    }
-
-    #[test]
     fn merge_concatenates() {
         let mut a = labelled_dataset();
         let b = labelled_dataset();
@@ -521,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn gaps_ride_along_through_merge_and_store() {
+    fn gaps_ride_along_through_merge() {
         let gap = TraceGap::new(
             SimInstant::from_micros(9),
             DeviceId::primary(DeviceKind::C9),
@@ -534,9 +471,6 @@ mod tests {
         b.push_gap(gap);
         a.merge(b);
         assert_eq!(a.gaps().len(), 2);
-        let store = DocumentStore::new();
-        a.store_into(&store).unwrap();
-        assert_eq!(store.count("gaps", &crate::Filter::all()), 2);
     }
 
     #[test]

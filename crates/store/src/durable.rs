@@ -6,9 +6,9 @@
 //! the applied state. The log carries two payload kinds, told apart by
 //! their first byte:
 //!
-//! - **JSON ops** (first byte `{`) insert or delete documents of the
-//!   in-memory [`DocumentStore`]: run metadata, gaps, journals,
-//!   cursors.
+//! - **JSON ops** (first byte `{`) insert or delete the store's small
+//!   JSON documents: run metadata, gaps, journals, cursors. They live
+//!   in named collections, each document under a store-wide id.
 //! - **Trace frames** (first byte `T`) append rows to the trace
 //!   stream: the stream position of the frame's first row (`u64` LE),
 //!   then the rows in the segment encoding — the bytes
@@ -59,12 +59,12 @@
 //!   the WAL, so they are renamed `*.uncommitted` and never read.
 //! - A checkpoint that fails validation is renamed
 //!   `checkpoint.json.quarantined` and recovery continues from the WAL
-//!   alone.
+//!   alone: none of its documents or segments are applied.
 //!
 //! Each of these is counted in the [`RecoveryReport`], with the rows
 //! it cost: damage is reported, never fatal.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +74,6 @@ use parking_lot::Mutex;
 use rad_core::{spec, RadError, TraceBatch};
 use serde_json::{json, Value as Json};
 
-use crate::document::{DocumentId, DocumentStore, Filter};
 use crate::segment::{
     quarantine_file, segment_file_names, write_trace_segment, SegmentKind, SegmentOptions,
     SegmentReader, SegmentSet, SegmentWriter,
@@ -111,12 +110,15 @@ pub struct DurableOptions {
     pub crash_plan: Option<CrashPlan>,
 }
 
-/// A document store plus an append-only trace stream, every mutation
-/// of which survives a crash.
+/// Identifier assigned to each inserted document, unique per store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DocumentId(pub u64);
+
+/// A small set of JSON documents plus an append-only trace stream,
+/// every mutation of which survives a crash.
 ///
-/// Thread-safe: document reads go straight to the underlying store's
-/// `RwLock`; mutations serialize on an internal mutex so the WAL order
-/// always matches the applied order.
+/// Thread-safe: reads and mutations share one internal mutex, so the
+/// WAL order always matches the applied order.
 ///
 /// # Examples
 ///
@@ -141,14 +143,13 @@ pub struct DurableOptions {
 /// // A reopen recovers both from the log.
 /// let (store, report) = DurableStore::open(dir, DurableOptions::default())?;
 /// assert_eq!(store.trace_rows(), 1);
-/// assert_eq!(store.store().len(), 1);
+/// assert_eq!(store.count("runs"), 1);
 /// assert_eq!(report.records_replayed, 2);
 /// # Ok::<(), rad_core::RadError>(())
 /// ```
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    store: DocumentStore,
     log: Mutex<Log>,
     injector: Option<CrashInjector>,
     checkpoint_every_ops: Option<u64>,
@@ -160,6 +161,43 @@ pub struct DurableStore {
 struct Log {
     wal: Wal,
     stream: TraceStream,
+    docs: Documents,
+}
+
+/// The store's documents: named collections of JSON objects, each
+/// keyed by a store-wide id. Collections are created by their first
+/// insert and kept when emptied.
+#[derive(Debug, Default)]
+struct Documents {
+    collections: BTreeMap<String, BTreeMap<u64, Json>>,
+    /// The id the next insert receives.
+    next_id: u64,
+}
+
+impl Documents {
+    /// Stores `doc` under `id`; later inserts get larger ids.
+    fn insert(&mut self, collection: &str, id: u64, doc: Json) {
+        self.next_id = self.next_id.max(id + 1);
+        self.collections
+            .entry(collection.to_owned())
+            .or_default()
+            .insert(id, doc);
+    }
+
+    /// Removes one document, if present.
+    fn remove(&mut self, collection: &str, id: u64) {
+        if let Some(docs) = self.collections.get_mut(collection) {
+            docs.remove(&id);
+        }
+    }
+}
+
+/// What a valid checkpoint holds.
+struct Checkpoint {
+    next_seq: u64,
+    /// Sealed trace files in stream order, with their row counts.
+    sealed: Vec<(String, u64)>,
+    docs: Documents,
 }
 
 /// The trace stream: sealed segment files, then the rows appended
@@ -215,17 +253,18 @@ impl DurableStore {
         let injector = options.crash_plan.map(CrashInjector::new);
         let (mut wal, records, mut report) = Wal::open(dir, options.wal, injector.clone())?;
 
-        let store = DocumentStore::new();
+        let mut docs = Documents::default();
         let mut named = Vec::new();
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
         if checkpoint_path.exists() {
-            match Self::load_checkpoint(&checkpoint_path, &store) {
-                Ok((next_seq, sealed)) => {
-                    report.checkpoint_next_seq = next_seq;
+            match Self::load_checkpoint(&checkpoint_path) {
+                Ok(checkpoint) => {
+                    report.checkpoint_next_seq = checkpoint.next_seq;
                     // The checkpoint absorbed (and retired) seqs below
                     // next_seq; fresh appends must still sort after them.
-                    wal.ensure_next_seq(next_seq);
-                    named = sealed;
+                    wal.ensure_next_seq(checkpoint.next_seq);
+                    named = checkpoint.sealed;
+                    docs = checkpoint.docs;
                 }
                 Err(_reason) => {
                     // Same policy as a damaged WAL segment: set it
@@ -245,7 +284,7 @@ impl DurableStore {
             if record.seq < report.checkpoint_next_seq {
                 continue; // already folded into the checkpoint
             }
-            if Self::apply_logged(&store, &mut stream, &record.payload, &mut report)? {
+            if Self::apply_logged(&mut docs, &mut stream, &record.payload, &mut report)? {
                 report.records_replayed += 1;
             }
         }
@@ -253,8 +292,7 @@ impl DurableStore {
         Ok((
             DurableStore {
                 dir: dir.to_path_buf(),
-                store,
-                log: Mutex::new(Log { wal, stream }),
+                log: Mutex::new(Log { wal, stream, docs }),
                 injector,
                 checkpoint_every_ops: options.checkpoint_every_ops,
                 ops_since_checkpoint: AtomicU64::new(0),
@@ -263,13 +301,11 @@ impl DurableStore {
         ))
     }
 
-    /// Parses and applies a checkpoint file, returning its `next_seq`
-    /// and the sealed trace files it names. Any structural problem is
-    /// a `String` reason for quarantine.
-    fn load_checkpoint(
-        path: &Path,
-        store: &DocumentStore,
-    ) -> Result<(u64, Vec<(String, u64)>), String> {
+    /// Parses a checkpoint file whole: its `next_seq`, the sealed trace
+    /// files it names and its documents. Any structural problem is a
+    /// `String` reason for quarantine, and then nothing of the file is
+    /// used.
+    fn load_checkpoint(path: &Path) -> Result<Checkpoint, String> {
         let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
         let value: Json =
             serde_json::from_slice(&bytes).map_err(|e| format!("invalid json: {e}"))?;
@@ -303,9 +339,10 @@ impl DurableStore {
                     .ok_or("bad sealed trace entry")
             })
             .collect::<Result<Vec<_>, _>>()?;
-        for (name, docs) in collections {
-            let docs = docs.as_array().ok_or("collection is not an array")?;
-            for pair in docs {
+        let mut docs = Documents::default();
+        for (name, pairs) in collections {
+            let pairs = pairs.as_array().ok_or("collection is not an array")?;
+            for pair in pairs {
                 let pair = pair
                     .as_array()
                     .filter(|p| p.len() == 2)
@@ -314,24 +351,28 @@ impl DurableStore {
                 if !pair[1].is_object() {
                     return Err("document is not an object".into());
                 }
-                store.insert_with_id(name, DocumentId(id), pair[1].clone());
+                docs.insert(name, id, pair[1].clone());
             }
         }
-        store.set_next_id(next_id);
-        Ok((next_seq, sealed))
+        docs.next_id = docs.next_id.max(next_id);
+        Ok(Checkpoint {
+            next_seq,
+            sealed,
+            docs,
+        })
     }
 
     /// Applies one logged record during replay. Returns whether it was
     /// applied: a trace frame off the stream's end is skipped and
     /// counted instead.
     fn apply_logged(
-        store: &DocumentStore,
+        docs: &mut Documents,
         stream: &mut TraceStream,
         payload: &[u8],
         report: &mut RecoveryReport,
     ) -> Result<bool, RadError> {
         match payload.first().copied() {
-            Some(b'{') => Self::apply_json(store, payload).map(|()| true),
+            Some(b'{') => Self::apply_json(docs, payload).map(|()| true),
             Some(TRACE_FRAME) => {
                 let first = payload
                     .get(1..FRAME_HEADER)
@@ -361,7 +402,7 @@ impl DurableStore {
     }
 
     /// Applies one logged JSON document operation.
-    fn apply_json(store: &DocumentStore, payload: &[u8]) -> Result<(), RadError> {
+    fn apply_json(docs: &mut Documents, payload: &[u8]) -> Result<(), RadError> {
         let op: Json = serde_json::from_slice(payload)
             .map_err(|e| RadError::Store(format!("wal payload is not valid json: {e}")))?;
         let kind = op.get("op").and_then(Json::as_str).unwrap_or("");
@@ -376,7 +417,7 @@ impl DurableStore {
                     .get("doc")
                     .cloned()
                     .ok_or_else(|| RadError::Store("logged insert missing doc".into()))?;
-                store.insert_with_id(collection, DocumentId(id), doc);
+                docs.insert(collection, id, doc);
                 Ok(())
             }
             "insert_batch" => {
@@ -384,14 +425,14 @@ impl DurableStore {
                     .get("first_id")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| RadError::Store("logged batch missing first_id".into()))?;
-                let docs = op
+                let batch = op
                     .get("docs")
                     .and_then(Json::as_array)
                     .ok_or_else(|| RadError::Store("logged batch missing docs".into()))?;
-                for (i, doc) in docs.iter().enumerate() {
-                    store.insert_with_id(collection, DocumentId(first_id + i as u64), doc.clone());
+                for (i, doc) in batch.iter().enumerate() {
+                    docs.insert(collection, first_id + i as u64, doc.clone());
                 }
-                store.set_next_id(first_id + docs.len() as u64);
+                docs.next_id = docs.next_id.max(first_id + batch.len() as u64);
                 Ok(())
             }
             "delete" => {
@@ -403,7 +444,7 @@ impl DurableStore {
                     let id = id.as_u64().ok_or_else(|| {
                         RadError::Store("logged delete has non-integer id".into())
                     })?;
-                    store.remove(collection, DocumentId(id));
+                    docs.remove(collection, id);
                 }
                 Ok(())
             }
@@ -413,8 +454,8 @@ impl DurableStore {
         }
     }
 
-    /// Inserts `doc` into `collection`, durably: the operation is in
-    /// the log before the store ever sees it.
+    /// Inserts `doc` into `collection` (created on first use), durably:
+    /// the operation is in the log before the store ever sees it.
     ///
     /// # Errors
     ///
@@ -427,11 +468,10 @@ impl DurableStore {
             )));
         }
         let mut log = self.log.lock();
-        let id = self.store.next_id();
+        let id = log.docs.next_id;
         let op = json!({"op": "insert", "c": collection, "id": id, "doc": doc});
         log.wal.append(op.to_string().as_bytes())?;
-        self.store.insert_with_id(collection, DocumentId(id), doc);
-        self.store.set_next_id(id + 1);
+        log.docs.insert(collection, id, doc);
         drop(log);
         self.after_op()?;
         Ok(DocumentId(id))
@@ -460,44 +500,66 @@ impl DurableStore {
             )));
         }
         let mut log = self.log.lock();
-        let first_id = self.store.next_id();
+        let first_id = log.docs.next_id;
         let op = json!({"op": "insert_batch", "c": collection, "first_id": first_id, "docs": docs});
         log.wal.append(op.to_string().as_bytes())?;
-        let n = docs.len() as u64;
         let mut ids = Vec::with_capacity(docs.len());
         for (i, doc) in docs.into_iter().enumerate() {
-            let id = DocumentId(first_id + i as u64);
-            self.store.insert_with_id(collection, id, doc);
-            ids.push(id);
+            let id = first_id + i as u64;
+            log.docs.insert(collection, id, doc);
+            ids.push(DocumentId(id));
         }
-        self.store.set_next_id(first_id + n);
         drop(log);
         self.after_op()?;
         Ok(ids)
     }
 
-    /// Deletes matching documents durably, returning how many were
-    /// removed.
+    /// Removes every document of `collection` durably, with one logged
+    /// delete naming their ids, and returns how many were removed. An
+    /// empty or missing collection logs nothing.
     ///
     /// # Errors
     ///
     /// Returns [`RadError::Store`] on filesystem failure or an
     /// injected crash.
-    pub fn delete(&self, collection: &str, filter: &Filter) -> Result<usize, RadError> {
+    pub fn clear(&self, collection: &str) -> Result<usize, RadError> {
         let mut log = self.log.lock();
-        let victims = self.store.find_ids(collection, filter);
-        if victims.is_empty() {
+        let Log { wal, docs, .. } = &mut *log;
+        let Some(victims) = docs
+            .collections
+            .get_mut(collection)
+            .filter(|v| !v.is_empty())
+        else {
             return Ok(0);
-        }
-        let ids: Vec<u64> = victims.iter().map(|d| d.0).collect();
+        };
+        let ids: Vec<u64> = victims.keys().copied().collect();
         let op = json!({"op": "delete", "c": collection, "ids": ids});
-        log.wal.append(op.to_string().as_bytes())?;
-        for id in &victims {
-            self.store.remove(collection, *id);
-        }
+        wal.append(op.to_string().as_bytes())?;
+        victims.clear();
         drop(log);
         self.after_op()?;
-        Ok(victims.len())
+        Ok(ids.len())
+    }
+
+    /// The documents of `collection` in insertion order (empty when it
+    /// does not exist).
+    pub fn documents(&self, collection: &str) -> Vec<Json> {
+        let log = self.log.lock();
+        log.docs
+            .collections
+            .get(collection)
+            .map(|docs| docs.values().cloned().collect())
+            .unwrap_or_default()
+    }
+
+    /// Number of documents in `collection`.
+    pub fn count(&self, collection: &str) -> usize {
+        self.log
+            .lock()
+            .docs
+            .collections
+            .get(collection)
+            .map_or(0, BTreeMap::len)
     }
 
     /// Appends `rows` to the trace stream, durably. The rows are
@@ -610,7 +672,7 @@ impl DurableStore {
     /// [`CrashSite::MidRename`]: crate::wal::CrashSite::MidRename
     pub fn checkpoint(&self) -> Result<(), RadError> {
         let mut log = self.log.lock();
-        let Log { wal, stream } = &mut *log;
+        let Log { wal, stream, docs } = &mut *log;
         wal.sync()?;
         let mut sealed = stream.sealed.clone();
         if !stream.unsealed.is_empty() {
@@ -625,11 +687,10 @@ impl DurableStore {
                 sealed.push((name.into_owned(), rows));
             }
         }
-        let (next_id, collections) = self.store.dump();
         let mut cols = serde_json::Map::new();
-        for (name, docs) in collections {
-            let pairs: Vec<Json> = docs.into_iter().map(|(id, d)| json!([id, d])).collect();
-            cols.insert(name, Json::Array(pairs));
+        for (name, collection) in &docs.collections {
+            let pairs: Vec<Json> = collection.iter().map(|(id, d)| json!([id, d])).collect();
+            cols.insert(name.clone(), Json::Array(pairs));
         }
         let traces: Vec<Json> = sealed
             .iter()
@@ -637,7 +698,7 @@ impl DurableStore {
             .collect();
         let manifest = json!({
             "next_seq": (wal.next_seq()),
-            "next_id": next_id,
+            "next_id": (docs.next_id),
             "collections": (Json::Object(cols)),
             "traces": traces,
         });
@@ -678,23 +739,6 @@ impl DurableStore {
             .map(|(name, _)| name.clone())
             .collect();
         SegmentSet::open_named(&self.segments_dir(), names)
-    }
-
-    /// Read access to the underlying in-memory document store.
-    /// Mutating it directly bypasses the log; use
-    /// [`DurableStore::insert`] / [`DurableStore::delete`] instead.
-    pub fn store(&self) -> &DocumentStore {
-        &self.store
-    }
-
-    /// All documents in `collection` matching `filter`.
-    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Json> {
-        self.store.find(collection, filter)
-    }
-
-    /// Number of matching documents.
-    pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        self.store.count(collection, filter)
     }
 
     /// The crash injector, when a [`CrashPlan`] was configured.
@@ -951,9 +995,9 @@ mod tests {
             store.sync().unwrap();
         }
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 20);
+        assert_eq!(store.count("t"), 20);
         assert_eq!(report.records_replayed, 20);
-        assert_eq!(store.find("t", &Filter::eq("i", json!(7))).len(), 1);
+        assert_eq!(store.documents("t")[7], json!({"i": 7}));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -970,7 +1014,7 @@ mod tests {
             store.sync().unwrap();
         }
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 50);
+        assert_eq!(store.count("t"), 50);
         assert_eq!(report.records_replayed, 1, "one WAL frame per batch");
         let next = store.insert("t", json!({"i": 50})).unwrap();
         assert_eq!(next, DocumentId(50), "id sequence resumes after the batch");
@@ -985,7 +1029,8 @@ mod tests {
             .insert_batch("t", vec![json!({"ok": 1}), json!(42)])
             .unwrap_err();
         assert!(err.to_string().contains("JSON objects"));
-        assert_eq!(store.store().len(), 0, "nothing applied on error");
+        assert!(store.insert("t", json!([1, 2])).is_err());
+        assert_eq!(store.count("t"), 0, "nothing applied on error");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -997,25 +1042,28 @@ mod tests {
             for i in 0..10 {
                 store.insert("t", json!({"i": i})).unwrap();
             }
-            store.delete("t", &Filter::gte("i", 5.0)).unwrap();
+            store.insert("u", json!({"i": 10})).unwrap();
+            assert_eq!(store.clear("t").unwrap(), 10);
+            assert_eq!(store.clear("t").unwrap(), 0, "nothing left to clear");
+            assert_eq!(store.clear("missing").unwrap(), 0);
             store.sync().unwrap();
         }
-        let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 5);
-        assert_eq!(store.count("t", &Filter::gte("i", 5.0)), 0);
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert_eq!(report.records_replayed, 12, "one delete, no empty ones");
+        assert_eq!(store.count("t"), 0);
+        assert!(store.documents("t").is_empty());
+        assert_eq!(store.documents("u"), [json!({"i": 10})]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn ids_are_stable_across_recovery() {
         let dir = tmpdir("ids");
-        let direct = DocumentStore::new();
         {
             let (store, _) = DurableStore::open(&dir, options()).unwrap();
             for i in 0..12 {
-                let a = store.insert("t", json!({"i": i})).unwrap();
-                let b = direct.insert("t", json!({"i": i})).unwrap();
-                assert_eq!(a, b, "durable ids match a plain store");
+                let id = store.insert("t", json!({"i": i})).unwrap();
+                assert_eq!(id, DocumentId(i), "ids count up from zero");
             }
             store.sync().unwrap();
         }
@@ -1041,7 +1089,7 @@ mod tests {
         }
         assert!(dir.join(CHECKPOINT_FILE).exists());
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 35);
+        assert_eq!(store.count("t"), 35);
         assert_eq!(
             report.records_replayed, 5,
             "only the post-checkpoint suffix"
@@ -1064,7 +1112,7 @@ mod tests {
         assert!(dir.join(CHECKPOINT_FILE).exists());
         drop(store);
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 25);
+        assert_eq!(store.count("t"), 25);
         assert!(report.records_replayed < 25, "checkpoint absorbed a prefix");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1088,7 +1136,35 @@ mod tests {
         // The checkpointed prefix is gone with the checkpoint (its WAL
         // segments were retired), but the suffix still replays and the
         // store opens: damage is contained, not fatal.
-        assert_eq!(store.store().len(), 1);
+        assert_eq!(store.count("t"), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_quarantined_checkpoint_applies_none_of_its_documents() {
+        let dir = tmpdir("ckptleak");
+        {
+            let (store, _) = DurableStore::open(&dir, options()).unwrap();
+            store.insert("a", json!({"n": 0})).unwrap();
+            store.insert("a", json!({"n": 1})).unwrap();
+            store.insert("b", json!({"n": 2})).unwrap();
+            store.checkpoint().unwrap();
+            store.insert("c", json!({"n": 3})).unwrap();
+            store.sync().unwrap();
+        }
+        // `b` is parsed after `a`; its id turns invalid only there.
+        let path = dir.join(CHECKPOINT_FILE);
+        let manifest = fs::read_to_string(&path).unwrap();
+        let damaged = manifest.replace(r#""b":[[2,"#, r#""b":[[-1,"#);
+        assert_ne!(damaged, manifest);
+        fs::write(&path, damaged).unwrap();
+        let (store, report) = DurableStore::open(&dir, options()).unwrap();
+        assert!(report.checkpoint_quarantined);
+        assert_eq!(
+            (store.count("a"), store.count("b"), store.count("c")),
+            (0, 0, 1),
+            "recovery continues from the WAL alone"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1121,7 +1197,7 @@ mod tests {
             "the old checkpoint is untouched"
         );
         let (store, _) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 15, "WAL suffix covers the new inserts");
+        assert_eq!(store.count("t"), 15, "WAL suffix covers the new inserts");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1154,7 +1230,7 @@ mod tests {
         );
         drop(store);
         let (store, report) = DurableStore::open(&dir, options()).unwrap();
-        assert_eq!(store.store().len(), 8, "two batches of four were synced");
+        assert_eq!(store.count("t"), 8, "two batches of four were synced");
         assert!(report.records_replayed <= applied, "nothing invented");
         let _ = fs::remove_dir_all(&dir);
     }

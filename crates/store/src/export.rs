@@ -7,9 +7,6 @@
 //! `power/<run>-<n>.csv` (one 122-column telemetry table per
 //! recording), and a `MANIFEST.json` describing the bundle.
 //! [`import_commands`] reads the command half back.
-//!
-//! The document store also persists: [`DocumentStore::save`] /
-//! [`DocumentStore::load`] snapshot all collections to one JSON file.
 
 use std::fmt;
 use std::fs;
@@ -26,7 +23,6 @@ use serde_json::json;
 
 use crate::csv;
 use crate::dataset::{CommandDataset, PowerDataset};
-use crate::document::DocumentStore;
 use crate::segment::{SegmentScan, SegmentSet};
 use crate::wal::{atomic_write_file, stage_stream, sync_dir, temp_path, CrashInjector, CrashSite};
 
@@ -34,12 +30,10 @@ fn io_err(context: &str, e: std::io::Error) -> RadError {
     RadError::Store(format!("{context}: {e}"))
 }
 
-/// One quarantined record found while loading a bundle or snapshot
-/// leniently.
+/// One quarantined record found while loading a bundle leniently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadIssue {
-    /// Where the damage is: `"commands.csv line 17"`,
-    /// `"collection traces index 3"`, ...
+    /// Where the damage is: `"commands.csv line 17"`, ...
     pub location: String,
     /// Why the record was rejected.
     pub reason: String,
@@ -542,89 +536,6 @@ pub fn parse_runs_csv(text: &str) -> Result<Vec<rad_core::RunMetadata>, RadError
     Ok(out)
 }
 
-impl DocumentStore {
-    /// Snapshots every collection to one JSON file, atomically: a
-    /// crash mid-save leaves the previous snapshot intact, never a
-    /// truncated file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadError::Store`] on filesystem failures.
-    pub fn save(&self, path: &Path) -> Result<(), RadError> {
-        let mut collections = serde_json::Map::new();
-        for name in self.collection_names() {
-            let docs = self.find(&name, &crate::Filter::all());
-            collections.insert(name, serde_json::Value::Array(docs));
-        }
-        let blob = serde_json::Value::Object(collections);
-        atomic_write_file(
-            path,
-            serde_json::to_string(&blob)
-                .expect("documents serialize")
-                .as_bytes(),
-            None,
-        )
-    }
-
-    /// Loads a snapshot produced by [`DocumentStore::save`] into a new
-    /// store. Document ids are reassigned. Strict: the first damaged
-    /// record fails the load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadError::Store`] on filesystem or parse failures.
-    pub fn load(path: &Path) -> Result<DocumentStore, RadError> {
-        let (store, report) = DocumentStore::load_with(path, true)?;
-        debug_assert!(report.is_clean(), "strict load cannot report issues");
-        Ok(store)
-    }
-
-    /// [`DocumentStore::load`] with a strictness switch. In lenient
-    /// mode (`strict = false`) each damaged record is quarantined into
-    /// the [`LoadReport`] — named by collection and index — and every
-    /// healthy record still loads.
-    ///
-    /// # Errors
-    ///
-    /// In strict mode, any damaged record. In lenient mode only
-    /// structural failures: an unreadable file, non-JSON contents, or
-    /// a root that is not an object.
-    pub fn load_with(path: &Path, strict: bool) -> Result<(DocumentStore, LoadReport), RadError> {
-        let text = fs::read_to_string(path).map_err(|e| io_err("loading document store", e))?;
-        let blob: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| RadError::Store(format!("parsing snapshot: {e}")))?;
-        let store = DocumentStore::new();
-        let mut report = LoadReport::default();
-        let Some(collections) = blob.as_object() else {
-            return Err(RadError::Store("snapshot root must be an object".into()));
-        };
-        for (name, docs) in collections {
-            let Some(docs) = docs.as_array() else {
-                let reason = format!("collection {name} must be an array");
-                if strict {
-                    return Err(RadError::Store(reason));
-                }
-                report.issues.push(LoadIssue {
-                    location: format!("collection {name}"),
-                    reason: "not an array".into(),
-                });
-                continue;
-            };
-            for (index, doc) in docs.iter().enumerate() {
-                match store.insert(name, doc.clone()) {
-                    Ok(_) => report.loaded += 1,
-                    Err(e) if strict => return Err(e),
-                    Err(e) => report.issues.push(LoadIssue {
-                        location: format!("collection {name} index {index}"),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
-        }
-        Ok((store, report))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,63 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn document_store_snapshot_round_trips() {
-        let dir = tmpdir("snapshot");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        let store = DocumentStore::new();
-        store
-            .insert("traces", json!({"command": "ARM", "ms": 5.0}))
-            .unwrap();
-        store.insert("traces", json!({"command": "Q"})).unwrap();
-        store.insert("runs", json!({"run_id": 0})).unwrap();
-        store.save(&path).unwrap();
-        let loaded = DocumentStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(
-            loaded.count("traces", &crate::Filter::eq("command", json!("ARM"))),
-            1
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn loading_garbage_fails_cleanly() {
-        let dir = tmpdir("garbage");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        fs::write(&path, "not json").unwrap();
-        assert!(DocumentStore::load(&path).is_err());
-        fs::write(&path, "[1,2,3]").unwrap();
-        assert!(DocumentStore::load(&path).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn import_from_missing_dir_fails_cleanly() {
         let err = import_commands(Path::new("/nonexistent/rad")).unwrap_err();
         assert!(err.to_string().contains("commands.csv"));
-    }
-
-    #[test]
-    fn lenient_load_quarantines_bad_records_and_names_them() {
-        let dir = tmpdir("lenient");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        // Two healthy documents, one scalar posing as a document.
-        fs::write(
-            &path,
-            r#"{"traces": [{"ok": 1}, 42, {"ok": 2}], "runs": [{"run_id": 0}]}"#,
-        )
-        .unwrap();
-        assert!(DocumentStore::load(&path).is_err(), "strict still fails");
-        let (store, report) = DocumentStore::load_with(&path, false).unwrap();
-        assert_eq!(report.loaded, 3);
-        assert_eq!(report.skipped(), 1);
-        assert!(report.issues[0].location.contains("traces index 1"));
-        assert!(report.to_string().contains("traces index 1"));
-        assert_eq!(store.len(), 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -982,23 +839,5 @@ mod tests {
             assert!(super::bundle_is_complete(&dir));
             let _ = fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn save_is_atomic_under_injected_crashes() {
-        use crate::wal::atomic_write_file;
-        use crate::wal::{CrashInjector, CrashPlan, CrashSite};
-        let dir = tmpdir("atomicsave");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        let store = DocumentStore::new();
-        store.insert("t", json!({"v": 1})).unwrap();
-        store.save(&path).unwrap();
-        let saved = fs::read(&path).unwrap();
-        // A crashed overwrite leaves the old snapshot byte-identical.
-        let injector = CrashInjector::new(CrashPlan::at(CrashSite::MidCompaction, 0));
-        assert!(atomic_write_file(&path, b"{}", Some(&injector)).is_err());
-        assert_eq!(fs::read(&path).unwrap(), saved);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

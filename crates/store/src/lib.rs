@@ -4,9 +4,14 @@
 //! instance or a .csv file" (Fig. 3). This crate provides both halves
 //! without external services:
 //!
-//! - [`DocumentStore`] — an embedded, thread-safe document store with
-//!   collections, auto-assigned ids, and filtered queries, standing in
-//!   for MongoDB.
+//! - [`segment`] — immutable columnar segment files, standing in for
+//!   MongoDB. The paper's queries by device, procedure, run and time
+//!   are [`TraceQuery`] predicates that a [`SegmentSet`] pushes down
+//!   into its scan.
+//! - [`DurableStore`] — the crash-safe write path: trace rows plus the
+//!   few small JSON documents a campaign keeps (runs, gaps, journal,
+//!   cursor), logged through the [`wal`] and sealed into segments at
+//!   each checkpoint.
 //! - [`csv`] — a small CSV codec with round-trip encoders for trace
 //!   objects and power samples.
 //! - [`CommandDataset`] / [`PowerDataset`] — the curated dataset
@@ -16,14 +21,26 @@
 //! # Examples
 //!
 //! ```
-//! use rad_store::DocumentStore;
-//! use serde_json::json;
+//! use rad_core::{
+//!     Command, CommandType, DeviceId, DeviceKind, SimInstant, TraceBatch, TraceId, TraceObject,
+//! };
+//! use rad_store::{SegmentOptions, SegmentSet, SegmentWriter, TraceQuery};
 //!
-//! let store = DocumentStore::new();
-//! store.insert("traces", json!({"command": "ARM", "device": "C9"}))?;
-//! store.insert("traces", json!({"command": "Q", "device": "Tecan"}))?;
-//! let hits = store.find("traces", &rad_store::Filter::eq("device", json!("C9")));
-//! assert_eq!(hits.len(), 1);
+//! let traces: Vec<TraceObject> = [CommandType::Arm, CommandType::TecanGetStatus]
+//!     .into_iter()
+//!     .enumerate()
+//!     .map(|(i, ct)| {
+//!         let (id, at) = (TraceId(i as u64), SimInstant::from_micros(i as u64));
+//!         let device = DeviceId::primary(ct.device());
+//!         TraceObject::builder(id, at, device, Command::nullary(ct)).build()
+//!     })
+//!     .collect();
+//! let dir = std::env::temp_dir().join(format!("rad-store-doc-{}", std::process::id()));
+//! SegmentWriter::create(&dir, SegmentOptions::default())?
+//!     .seal_traces(&TraceBatch::from_traces(&traces))?;
+//! let hits = SegmentSet::open(&dir)?.query(&TraceQuery::new().device(DeviceKind::C9))?;
+//! assert_eq!(hits.into_batch().len(), 1);
+//! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), rad_core::RadError>(())
 //! ```
 
@@ -32,15 +49,13 @@
 
 pub mod csv;
 pub mod dataset;
-pub mod document;
 pub mod durable;
 pub mod export;
 pub mod segment;
 pub mod wal;
 
 pub use dataset::{CommandDataset, PowerDataset, PowerRecording};
-pub use document::{DocumentId, DocumentStore, Filter};
-pub use durable::{DurableOptions, DurableSpec, DurableStore};
+pub use durable::{DocumentId, DurableOptions, DurableSpec, DurableStore};
 pub use export::{
     export_rad, export_rad_alerted, export_rad_from_segments, export_rad_from_segments_alerted,
     import_alerts, import_commands, LoadIssue, LoadReport,

@@ -6,10 +6,10 @@
 //! independently encoded and CRC-protected, followed by a footer with
 //! per-column offsets and min/max *zone maps* over `(device,
 //! procedure, run_id, timestamp)`. Segments are immutable once sealed:
-//! [`SegmentWriter`] partitions a batch by device and row count and
-//! writes each part through the same atomic temp-file + fsync + rename
-//! path the WAL checkpoints use, so a crash never leaves a half
-//! segment under a live name.
+//! [`SegmentWriter`] splits a batch by row count and writes each part
+//! through the same atomic temp-file + fsync + rename path the WAL
+//! checkpoints use, so a crash never leaves a half segment under a
+//! live name.
 //!
 //! Reading is lazy. [`SegmentReader`] loads the footer eagerly (a few
 //! hundred bytes) and fetches column payloads on demand with
@@ -702,19 +702,12 @@ pub struct SegmentOptions {
     /// Maximum rows per sealed trace segment; larger batches split
     /// into consecutive time-partitioned files.
     pub rows_per_segment: usize,
-    /// Whether to split each batch into one run of segments per
-    /// device kind. Device partitions make device-filtered queries
-    /// prune to exactly the relevant files, but interleave the global
-    /// capture order across files — leave this off when the scan
-    /// order must reproduce the original row order (e.g. export).
-    pub partition_by_device: bool,
 }
 
 impl Default for SegmentOptions {
     fn default() -> Self {
         SegmentOptions {
             rows_per_segment: 65_536,
-            partition_by_device: false,
         }
     }
 }
@@ -771,12 +764,11 @@ impl<'a> SegmentWriter<'a> {
         path
     }
 
-    /// Seals `batch` into one or more segments (partitioned by device
-    /// when configured, then split every
-    /// [`SegmentOptions::rows_per_segment`] rows) and returns the
-    /// paths written, in seal order. Once every file is renamed into
-    /// place the directory is fsynced, so a power loss cannot undo
-    /// the seal. An empty batch seals nothing.
+    /// Seals `batch` into one or more segments, split every
+    /// [`SegmentOptions::rows_per_segment`] rows in row order, and
+    /// returns the paths written, in seal order. Once every file is
+    /// renamed into place the directory is fsynced, so a power loss
+    /// cannot undo the seal. An empty batch seals nothing.
     ///
     /// # Errors
     ///
@@ -788,40 +780,24 @@ impl<'a> SegmentWriter<'a> {
         }
         let per_segment = self.options.rows_per_segment.max(1);
         let mut paths = Vec::new();
-        if self.options.partition_by_device {
-            for kind in DeviceKind::all() {
-                let rows: Vec<usize> = batch
-                    .devices()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.kind() == kind)
-                    .map(|(i, _)| i)
-                    .collect();
-                let part = format!("trace-{}", kind.name().to_lowercase());
-                for chunk in rows.chunks(per_segment) {
-                    paths.push(self.write_trace_file(&part, &batch.select(chunk))?);
-                }
-            }
-        } else {
-            for start in (0..batch.len()).step_by(per_segment) {
-                let end = batch.len().min(start + per_segment);
-                let path = if end - start == batch.len() {
-                    // A batch that fits one segment encodes as it is.
-                    self.write_trace_file("trace-all", batch)?
-                } else {
-                    self.write_trace_file("trace-all", &batch.slice(start..end))?
-                };
-                paths.push(path);
-            }
+        for start in (0..batch.len()).step_by(per_segment) {
+            let end = batch.len().min(start + per_segment);
+            let path = if end - start == batch.len() {
+                // A batch that fits one segment encodes as it is.
+                self.write_trace_file(batch)?
+            } else {
+                self.write_trace_file(&batch.slice(start..end))?
+            };
+            paths.push(path);
         }
         sync_dir(&self.dir)?;
         Ok(paths)
     }
 
-    /// Writes `piece` as the next `<stem>-NNNNNN.seg`, without the
+    /// Writes `piece` as the next `trace-all-NNNNNN.seg`, without the
     /// directory fsync.
-    fn write_trace_file(&mut self, stem: &str, piece: &TraceBatch) -> Result<PathBuf, RadError> {
-        let path = self.next_path(stem);
+    fn write_trace_file(&mut self, piece: &TraceBatch) -> Result<PathBuf, RadError> {
+        let path = self.next_path("trace-all");
         write_segment_file(
             &path,
             SegmentKind::Trace,
@@ -1992,14 +1968,8 @@ mod tests {
         for rows_per_segment in [1, 7, 256] {
             let dir = temp_dir(&format!("chunk{rows_per_segment}"));
             let batch = synthesize(100);
-            let mut writer = SegmentWriter::create(
-                &dir,
-                SegmentOptions {
-                    rows_per_segment,
-                    partition_by_device: false,
-                },
-            )
-            .unwrap();
+            let mut writer =
+                SegmentWriter::create(&dir, SegmentOptions { rows_per_segment }).unwrap();
             let paths = writer.seal_traces(&batch).unwrap();
             assert_eq!(paths.len(), 100usize.div_ceil(rows_per_segment));
             let set = SegmentSet::open(&dir).unwrap();
@@ -2019,67 +1989,27 @@ mod tests {
     }
 
     #[test]
-    fn pruned_query_matches_unpruned_and_in_memory_reference() {
-        let dir = temp_dir("prune-equiv");
-        let batch = synthesize(400);
-        let mut writer = SegmentWriter::create(
-            &dir,
-            SegmentOptions {
-                rows_per_segment: 64,
-                partition_by_device: true,
-            },
-        )
-        .unwrap();
-        writer.seal_traces(&batch).unwrap();
-        let set = SegmentSet::open(&dir).unwrap();
-        let queries = [
-            TraceQuery::new().device(DeviceKind::C9),
-            TraceQuery::new().device(DeviceKind::Quantos).run(RunId(1)),
-            TraceQuery::new()
-                .procedure(PROCS[0])
-                .time_range(1_000_000, 1_030_000),
-            TraceQuery::new().run(RunId(2)),
-        ];
-        for query in queries {
-            let pruned = set.query(&query).unwrap();
-            let unpruned = set.query_with(&query, false).unwrap();
-            assert!(pruned.scanned() <= unpruned.scanned());
-            let got = pruned.into_batch();
-            assert_eq!(got, unpruned.into_batch());
-            // Device partitioning groups rows by device, so compare as
-            // materialized sets keyed by trace id.
-            let mut got_rows = got.to_traces();
-            got_rows.sort_by_key(|t| t.id().0);
-            let reference: Vec<TraceObject> = query
-                .matching_rows(&batch)
-                .into_iter()
-                .map(|i| batch.materialize(i))
-                .collect();
-            assert_eq!(got_rows, reference);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn zone_maps_prune_device_partitions_without_opening_them() {
         let dir = temp_dir("prune-count");
         let batch = synthesize(200);
-        let mut writer = SegmentWriter::create(
-            &dir,
-            SegmentOptions {
-                rows_per_segment: usize::MAX,
-                partition_by_device: true,
-            },
-        )
-        .unwrap();
-        let paths = writer.seal_traces(&batch).unwrap();
-        assert!(paths.len() > 1, "expected one segment per device kind");
+        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
+        // One seal per device kind, so each zone map names one device.
+        let mut sealed = 0;
+        for kind in DeviceKind::all() {
+            let rows = TraceQuery::new().device(kind).matching_rows(&batch);
+            sealed += writer.seal_traces(&batch.select(&rows)).unwrap().len();
+        }
+        assert_eq!(
+            sealed,
+            DeviceKind::all().len(),
+            "one segment per device kind"
+        );
         let set = SegmentSet::open(&dir).unwrap();
         let scan = set
             .query(&TraceQuery::new().device(DeviceKind::C9))
             .unwrap();
         assert_eq!(scan.scanned(), 1);
-        assert_eq!(scan.pruned(), paths.len() - 1);
+        assert_eq!(scan.pruned(), sealed - 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2423,7 +2353,6 @@ mod tests {
             &dir,
             SegmentOptions {
                 rows_per_segment: 40,
-                partition_by_device: false,
             },
         )
         .unwrap();

@@ -1,5 +1,5 @@
-//! Property tests on the document store, the CSV codec, and the
-//! durable store's trace stream.
+//! Property tests on the CSV codec and the durable store's trace
+//! stream.
 
 use proptest::prelude::*;
 use rad_core::{
@@ -9,8 +9,7 @@ use rad_core::{
 use rad_power::{PowerBlock, PowerSample};
 use rad_store::segment::{trace_segment_bytes, SegmentReader};
 use rad_store::wal::WalOptions;
-use rad_store::{csv, CrashPlan, CrashSite, DocumentStore, DurableOptions, DurableStore, Filter};
-use serde_json::json;
+use rad_store::{csv, CrashPlan, CrashSite, DurableOptions, DurableStore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -119,72 +118,6 @@ proptest! {
         prop_assume!(!row.contains('\n') || fields.iter().any(|f| f.contains('\n')));
         let back = csv::decode_row(&row).unwrap();
         prop_assert_eq!(back, fields);
-    }
-
-    /// Inserting n documents yields n distinct ids and a store of
-    /// size n.
-    #[test]
-    fn insert_count_and_id_uniqueness(n in 1usize..100) {
-        let store = DocumentStore::new();
-        let mut ids = std::collections::BTreeSet::new();
-        for i in 0..n {
-            let id = store.insert("c", json!({ "i": i })).unwrap();
-            prop_assert!(ids.insert(id));
-        }
-        prop_assert_eq!(store.len(), n);
-    }
-
-    /// A numeric range filter partitions the collection: every
-    /// document matches exactly one of (< bound) and (>= bound).
-    #[test]
-    fn range_filters_partition(
-        values in proptest::collection::vec(-1000.0f64..1000.0, 1..60),
-        bound in -1000.0f64..1000.0,
-    ) {
-        let store = DocumentStore::new();
-        for v in &values {
-            store.insert("t", json!({ "v": v })).unwrap();
-        }
-        let ge = store.count("t", &Filter::gte("v", bound));
-        let lt = values.iter().filter(|v| **v < bound).count();
-        prop_assert_eq!(ge + lt, values.len());
-    }
-
-    /// delete + count are consistent: deleting matches removes exactly
-    /// the matched documents.
-    #[test]
-    fn delete_is_consistent_with_count(
-        labels in proptest::collection::vec(0u8..4, 1..50),
-        victim in 0u8..4,
-    ) {
-        let store = DocumentStore::new();
-        for l in &labels {
-            store.insert("t", json!({ "label": l })).unwrap();
-        }
-        let expected = store.count("t", &Filter::eq("label", json!(victim)));
-        let removed = store.delete("t", &Filter::eq("label", json!(victim)));
-        prop_assert_eq!(removed, expected);
-        prop_assert_eq!(store.count("t", &Filter::eq("label", json!(victim))), 0);
-        prop_assert_eq!(store.len(), labels.len() - removed);
-    }
-
-    /// Filter conjunction is intersection: and(a, b) matches no more
-    /// than either side.
-    #[test]
-    fn conjunction_shrinks_matches(
-        values in proptest::collection::vec((0u8..4, -100.0f64..100.0), 1..40),
-        label in 0u8..4,
-        bound in -100.0f64..100.0,
-    ) {
-        let store = DocumentStore::new();
-        for (l, v) in &values {
-            store.insert("t", json!({ "label": l, "v": v })).unwrap();
-        }
-        let a = Filter::eq("label", json!(label));
-        let b = Filter::gte("v", bound);
-        let both = store.count("t", &a.clone().and(b.clone()));
-        prop_assert!(both <= store.count("t", &a));
-        prop_assert!(both <= store.count("t", &b));
     }
 
     /// The buffered, lane-cached power encoder writes exactly the

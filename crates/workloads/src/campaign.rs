@@ -17,7 +17,7 @@ use rad_core::{
     RunMetadata, SimDuration, TraceBatch, Value,
 };
 use rad_middlebox::{FaultPlan, Middlebox};
-use rad_store::{CommandDataset, CrashPlan, DurableOptions, DurableStore, Filter, PowerDataset};
+use rad_store::{CommandDataset, CrashPlan, DurableOptions, DurableStore, PowerDataset};
 use serde_json::{json, Value as Json};
 
 use crate::procedures::{self, P1Variant, P2Variant, P3Variant, SOLIDS};
@@ -358,7 +358,7 @@ impl CampaignBuilder {
         let (durable, _report) = DurableStore::open(dir, options)?;
 
         let fingerprint = self.fingerprint();
-        if let Some(cursor) = durable.find("cursor", &Filter::all()).last() {
+        if let Some(cursor) = durable.documents("cursor").last() {
             let persisted = cursor
                 .get("fingerprint")
                 .and_then(Json::as_str)
@@ -381,7 +381,7 @@ impl CampaignBuilder {
         verify_and_complete(&durable, "gaps", sim.command.gaps(), item_doc)?;
         verify_and_complete(&durable, "runs", sim.command.runs(), item_doc)?;
         verify_and_complete(&durable, "journal", &sim.journal, journal_doc)?;
-        durable.delete("cursor", &Filter::all())?;
+        durable.clear("cursor")?;
         durable.insert(
             "cursor",
             cursor_doc(
@@ -644,7 +644,7 @@ impl<'a> CampaignSink<'a> {
     /// stream lengths *are* the resume cursors — correct even after a
     /// crash between the record appends and the cursor update.
     fn attach(durable: &'a DurableStore, fingerprint: String) -> Result<Self, RadError> {
-        if let Some(cursor) = durable.find("cursor", &Filter::all()).last() {
+        if let Some(cursor) = durable.documents("cursor").last() {
             let persisted = cursor
                 .get("fingerprint")
                 .and_then(Json::as_str)
@@ -659,9 +659,9 @@ impl<'a> CampaignSink<'a> {
         }
         Ok(CampaignSink {
             traces_done: durable.trace_rows() as usize,
-            gaps_done: durable.count("gaps", &Filter::all()),
-            runs_done: durable.count("runs", &Filter::all()),
-            journal_done: durable.count("journal", &Filter::all()),
+            gaps_done: durable.count("gaps"),
+            runs_done: durable.count("runs"),
+            journal_done: durable.count("journal"),
             runs_since_checkpoint: 0,
             durable,
             fingerprint,
@@ -712,7 +712,7 @@ impl<'a> CampaignSink<'a> {
             self.durable.insert_batch("journal", docs)?;
             self.journal_done = journal.len();
         }
-        self.durable.delete("cursor", &Filter::all())?;
+        self.durable.clear("cursor")?;
         self.durable.insert(
             "cursor",
             cursor_doc(
@@ -795,7 +795,7 @@ fn run_end_from(s: &str) -> Result<RunEnd, RadError> {
 
 /// All documents of `collection`, ordered by their stream position.
 fn sorted_docs(durable: &DurableStore, collection: &str) -> Vec<Json> {
-    let mut docs = durable.find(collection, &Filter::all());
+    let mut docs = durable.documents(collection);
     docs.sort_by_key(|d| d.get("i").and_then(Json::as_u64).unwrap_or(u64::MAX));
     docs
 }

@@ -9,8 +9,8 @@
 //! - [`middlebox`] — the RATracer reproduction: device
 //!   virtualization, the middlebox (DIRECT/REMOTE/CLOUD modes) and its
 //!   lab service, the trace pipeline, and the 25 Hz power monitor.
-//! - [`store`] — embedded document store, CSV codec, and the
-//!   WAL-backed crash-safe persistence layer.
+//! - [`store`] — the columnar segment store and its queries, the CSV
+//!   codec, and the WAL-backed crash-safe persistence layer.
 //! - [`power`] — UR3e dynamics and current-profile synthesis.
 //! - [`workloads`] — procedures P1–P6, joystick driver,
 //!   anomaly injection, and the three-month campaign synthesizer.
@@ -53,16 +53,16 @@ pub mod prelude {
     pub use rad_middlebox::{
         CollectingSink, DrainReport, DurableSink, FaultPlan, FaultProfile, FaultStats, Faulty,
         FaultyDuplex, GuardPolicy, GuardedMiddlebox, LabService, LatencyModel, Middlebox,
-        MirrorSink, ModeConfig, ServerConfig, ServerHandle, SocketTransport, TenantSinkStack,
-        Tracer, WireCodecKind,
+        ModeConfig, ServerConfig, ServerHandle, SocketTransport, TenantSinkStack, Tracer,
+        WireCodecKind,
     };
     pub use rad_power::{
         CurrentProfile, Elbow, PowerBlock, PowerRow, PowerSample, PowerSink, PowerSinkExt,
         PowerSource, ProfileRequest, TrajectorySegment, Ur3e, Ur3eKinematics,
     };
     pub use rad_store::{
-        CommandDataset, CrashInjector, CrashPlan, CrashSite, DocumentStore, DurableOptions,
-        DurableStore, Filter, LoadIssue, LoadReport, PowerDataset, RecoveryReport, WalOptions,
+        CommandDataset, CrashInjector, CrashPlan, CrashSite, DurableOptions, DurableStore,
+        LoadIssue, LoadReport, PowerDataset, RecoveryReport, TraceQuery, WalOptions,
     };
     pub use rad_workloads::{
         run_scenario, AttackKind, CampaignBuilder, CampaignScript, DisconnectPolicy, ProcedureRun,

@@ -155,24 +155,52 @@ fn csv_export_round_trips_the_whole_campaign() {
 }
 
 #[test]
-fn document_store_mirror_supports_the_paper_queries() {
+fn segments_answer_the_paper_queries() {
+    use rad_store::{SegmentOptions, SegmentSet, SegmentWriter};
     let campaign = supervised_campaign();
-    let store = DocumentStore::new();
-    campaign.command().store_into(&store).unwrap();
-    // Count per device matches the in-memory histogram.
-    for (device, count) in campaign.command().device_histogram() {
-        let stored = store.count(
-            "traces",
-            &Filter::eq("device", serde_json::json!(device.to_string())),
-        );
-        assert_eq!(stored as u64, count, "{device}");
+    let dataset = campaign.command();
+    let batch = dataset.batch();
+    let dir = std::env::temp_dir().join(format!("rad-e2e-queries-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    SegmentWriter::create(&dir, SegmentOptions::default())
+        .unwrap()
+        .seal_traces(batch)
+        .unwrap();
+    let set = SegmentSet::open(&dir).unwrap();
+    let query = |q: &TraceQuery| set.query(q).unwrap().into_batch();
+
+    // By device: row counts equal the in-memory histogram.
+    for (device, count) in dataset.device_histogram() {
+        let rows = query(&TraceQuery::new().device(device));
+        assert_eq!(rows.len() as u64, count, "{device}");
     }
-    // All commands of one supervised run can be pulled back out.
-    let run0 = store.count("traces", &Filter::eq("run_id", serde_json::json!(0)));
-    assert_eq!(
-        run0 as usize,
-        campaign.command().run_sequence(RunId(0)).len()
+    // By run: every supervised run comes back as its command sequence,
+    // which `run_sequence` orders by timestamp.
+    let runs = campaign.supervised_runs();
+    assert_eq!(runs.len(), 25);
+    for run in runs {
+        let rows = query(&TraceQuery::new().run(run.run_id()));
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| rows.timestamps_us()[i]);
+        let sequence: Vec<CommandType> = order.iter().map(|&i| rows.command_type(i)).collect();
+        assert_eq!(sequence, dataset.run_sequence(run.run_id()), "{run:?}");
+    }
+    // By procedure and by time: exactly the rows the in-memory
+    // predicate selects, in capture order.
+    let timestamps = batch.timestamps_us();
+    let (lo, hi) = (
+        timestamps[timestamps.len() / 4],
+        timestamps[timestamps.len() / 2],
     );
+    for q in [
+        TraceQuery::new().procedure(ProcedureKind::CrystalSolubility),
+        TraceQuery::new().time_range(lo, hi),
+    ] {
+        let rows = query(&q);
+        assert!(!rows.is_empty(), "{q:?}");
+        assert_eq!(rows, batch.select(&q.matching_rows(batch)), "{q:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

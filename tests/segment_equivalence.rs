@@ -83,10 +83,7 @@ fn synthesize(n: usize) -> TraceBatch {
 }
 
 fn seal(dir: &Path, batch: &TraceBatch, rows_per_segment: usize) -> SegmentSet {
-    let options = SegmentOptions {
-        rows_per_segment,
-        partition_by_device: false,
-    };
+    let options = SegmentOptions { rows_per_segment };
     SegmentWriter::create(dir, options)
         .unwrap()
         .seal_traces(batch)

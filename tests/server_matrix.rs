@@ -51,7 +51,7 @@ fn durable_counts(data_dir: &Path, tenant: &str) -> (usize, usize) {
         .expect("reopen tenant store");
     (
         store.read_traces().expect("read tenant traces").len(),
-        store.count("gaps", &Filter::all()),
+        store.count("gaps"),
     )
 }
 
