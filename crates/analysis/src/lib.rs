@@ -63,4 +63,4 @@ pub use streaming::{
     WindowedJenks,
 };
 pub use tfidf::TfIdf;
-pub use token::{corpus_from_segments, labelled_runs, CommandTokenizer, ParamTokenizer, Tokenizer};
+pub use token::{labelled_runs, CommandTokenizer, ParamTokenizer, Tokenizer};

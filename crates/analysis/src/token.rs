@@ -128,31 +128,6 @@ pub fn labelled_runs<T: Tokenizer>(
         .collect()
 }
 
-/// Tokenizes an entire sealed-segment corpus in timestamp order — the
-/// training stream for the unsupervised models, fed straight from the
-/// columnar store without a [`rad_store::CommandDataset`] in between.
-///
-/// Segments quarantined during the scan are skipped, not fatal: the
-/// corpus is whatever healthy rows survive (the scan's quarantine
-/// report is the place to check for losses before training).
-///
-/// # Errors
-///
-/// Returns [`rad_core::RadError::Store`] on I/O failure.
-pub fn corpus_from_segments<T: Tokenizer>(
-    set: &rad_store::SegmentSet,
-    tokenizer: &T,
-) -> Result<Vec<T::Token>, rad_core::RadError> {
-    let batch = set.read_all()?.into_batch();
-    let timestamps = batch.timestamps_us();
-    let mut order: Vec<usize> = (0..batch.len()).collect();
-    order.sort_by_key(|&i| timestamps[i]);
-    Ok(order
-        .into_iter()
-        .map(|i| tokenizer.token_row(&batch.get(i)))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,38 +181,6 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].0, vec![CommandType::Arm, CommandType::Mvng]);
         assert!(!runs[0].1);
-    }
-
-    #[test]
-    fn segment_corpus_matches_the_in_memory_token_stream() {
-        use rad_store::{SegmentOptions, SegmentSet, SegmentWriter};
-        let mut ds = CommandDataset::new();
-        // Pushed out of timestamp order on purpose.
-        ds.push_trace(trace(5, CommandType::Mvng, vec![]));
-        ds.push_trace(trace(1, CommandType::Arm, vec![]));
-        ds.push_trace(trace(3, CommandType::Sped, vec![Value::Float(150.0)]));
-
-        let dir =
-            std::env::temp_dir().join(format!("rad-analysis-segcorpus-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Tiny rows_per_segment forces a multi-segment corpus.
-        let options = SegmentOptions {
-            rows_per_segment: 2,
-        };
-        SegmentWriter::create(&dir, options)
-            .unwrap()
-            .seal_traces(ds.batch())
-            .unwrap();
-
-        let set = SegmentSet::open(&dir).unwrap();
-        let tokens = corpus_from_segments(&set, &CommandTokenizer).unwrap();
-        assert_eq!(
-            tokens,
-            vec![CommandType::Arm, CommandType::Sped, CommandType::Mvng],
-            "timestamp order, across segment boundaries"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

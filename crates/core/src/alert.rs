@@ -112,50 +112,6 @@ impl AlertSink for Vec<Alert> {
     }
 }
 
-/// Counts alerts without keeping them (smoke tests, benches).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingAlertSink {
-    /// Alerts raised so far.
-    pub alerts: u64,
-}
-
-impl AlertSink for CountingAlertSink {
-    fn raise(&mut self, _alert: &Alert) -> Result<(), RadError> {
-        self.alerts += 1;
-        Ok(())
-    }
-}
-
-/// Duplicates every alert to two sinks (both always see the alert;
-/// the first error is reported after both ran).
-#[derive(Debug)]
-pub struct AlertTee<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: AlertSink, B: AlertSink> AlertTee<A, B> {
-    /// Tees alerts into `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        AlertTee { a, b }
-    }
-
-    /// Consumes the tee, yielding both sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: AlertSink, B: AlertSink> AlertSink for AlertTee<A, B> {
-    fn raise(&mut self, alert: &Alert) -> Result<(), RadError> {
-        crate::sink::first_error(self.a.raise(alert), self.b.raise(alert))
-    }
-
-    fn finish(&mut self) -> Result<(), RadError> {
-        crate::sink::first_error(self.a.finish(), self.b.finish())
-    }
-}
-
 /// A cloneable, thread-safe alert collector.
 ///
 /// A detection stage boxed into a tracer's sink stack is unreachable
@@ -230,17 +186,6 @@ mod tests {
         sink.raise(&alert(20)).unwrap();
         assert_eq!(sink.len(), 2);
         assert_eq!(sink[1].window_end, SimInstant::from_micros(20));
-    }
-
-    #[test]
-    fn tee_duplicates_the_stream() {
-        let mut tee = AlertTee::new(Vec::new(), CountingAlertSink::default());
-        tee.raise(&alert(5)).unwrap();
-        tee.raise(&alert(6)).unwrap();
-        tee.finish().unwrap();
-        let (vec, counter) = tee.into_inner();
-        assert_eq!(vec.len(), 2);
-        assert_eq!(counter.alerts, 2);
     }
 
     #[test]

@@ -33,15 +33,13 @@ pub mod time;
 pub mod trace;
 pub mod value;
 
-pub use alert::{Alert, AlertSink, AlertTee, CountingAlertSink, SharedAlerts};
+pub use alert::{Alert, AlertSink, SharedAlerts};
 pub use batch::{TraceBatch, TraceColumns, TraceRow};
 pub use command::{Command, CommandCategory, CommandType};
 pub use device::{DeviceId, DeviceKind};
 pub use error::{DeviceFault, RadError};
 pub use procedure::{AnomalyCause, Label, ProcedureKind, RunId, RunMetadata};
-pub use sink::{
-    Chunked, CountingSink, Filtered, SliceSource, Tee, TraceSink, TraceSinkExt, TraceSource,
-};
+pub use sink::{Chunked, CountingSink, SliceSource, Tee, TraceSink, TraceSinkExt, TraceSource};
 pub use time::{SimClock, SimDuration, SimInstant};
 pub use trace::{TraceGap, TraceId, TraceMode, TraceObject};
 pub use value::Value;

@@ -7,13 +7,17 @@
 //! hand-offs with one trait speaking [`TraceBatch`]es, plus the run
 //! metadata and trace gaps that ride along with a campaign, and
 //! [`TraceSource`] is its pull-side dual. Sink *combinators* compose
-//! stacks declaratively:
+//! stacks declaratively; the tracer's stack tees a durable WAL sink
+//! with a live detector:
 //!
 //! ```text
-//!   Tracer ──▶ tee ──▶ chunked(4096) ──▶ durable WAL sink
+//!   Tracer ──▶ tee ──▶ durable WAL sink
 //!              │
-//!              └─────▶ filtered(|r| r.run_id().is_some()) ──▶ dataset
+//!              └─────▶ streaming detector ──▶ alerts
 //! ```
+//!
+//! [`Chunked`] re-chunks a stream into fixed-size batches for any
+//! stage that wants them.
 //!
 //! A batch flows through the stack by reference; each sink reads the
 //! columns it cares about. Memory is bounded by the largest batch in
@@ -41,7 +45,7 @@
 //! assert_eq!(b.len(), 1);
 //! ```
 
-use crate::batch::{TraceBatch, TraceRow};
+use crate::batch::TraceBatch;
 use crate::error::RadError;
 use crate::procedure::RunMetadata;
 use crate::trace::{TraceGap, TraceObject};
@@ -354,53 +358,6 @@ impl<S: TraceSink> TraceSink for Chunked<S> {
     }
 }
 
-/// Forwards only rows matching a predicate. See
-/// [`TraceSinkExt::filtered`]. Gaps and runs pass through unfiltered.
-#[derive(Debug)]
-pub struct Filtered<S, F> {
-    inner: S,
-    predicate: F,
-}
-
-impl<S, F> Filtered<S, F> {
-    /// Filters rows through `predicate` before `inner`.
-    pub fn new(inner: S, predicate: F) -> Self {
-        Filtered { inner, predicate }
-    }
-
-    /// Consumes the adapter, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink, F: FnMut(&TraceRow<'_>) -> bool> TraceSink for Filtered<S, F> {
-    fn accept(&mut self, batch: &TraceBatch) -> Result<(), RadError> {
-        let mut kept = TraceBatch::new();
-        for row in batch.iter() {
-            if (self.predicate)(&row) {
-                kept.push_owned(row.to_object());
-            }
-        }
-        if kept.is_empty() {
-            return Ok(());
-        }
-        self.inner.accept(&kept)
-    }
-    fn accept_gap(&mut self, gap: &TraceGap) -> Result<(), RadError> {
-        self.inner.accept_gap(gap)
-    }
-    fn accept_run(&mut self, run: &RunMetadata) -> Result<(), RadError> {
-        self.inner.accept_run(run)
-    }
-    fn flush(&mut self) -> Result<(), RadError> {
-        self.inner.flush()
-    }
-    fn finish(&mut self) -> Result<(), RadError> {
-        self.inner.finish()
-    }
-}
-
 /// Counts rows, gaps, and runs without storing them — useful as a
 /// cheap tee branch and in benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -447,11 +404,6 @@ pub trait TraceSinkExt: TraceSink + Sized {
     fn chunked(self, capacity: usize) -> Chunked<Self> {
         Chunked::new(self, capacity)
     }
-
-    /// Keeps only rows for which `predicate` returns `true`.
-    fn filtered<F: FnMut(&TraceRow<'_>) -> bool>(self, predicate: F) -> Filtered<Self, F> {
-        Filtered::new(self, predicate)
-    }
 }
 
 impl<S: TraceSink + Sized> TraceSinkExt for S {}
@@ -462,7 +414,7 @@ mod tests {
     use crate::command::{Command, CommandType};
     use crate::device::DeviceId;
     use crate::time::SimInstant;
-    use crate::trace::{TraceId, TraceMode, TraceObject};
+    use crate::trace::{TraceId, TraceObject};
 
     fn traces(n: u64) -> Vec<TraceObject> {
         (0..n)
@@ -507,22 +459,6 @@ mod tests {
         let inner = counting.into_inner();
         assert_eq!(inner.traces, 10);
         assert_eq!(inner.max_batch_rows, 4);
-    }
-
-    #[test]
-    fn filtered_drops_rows_but_passes_gaps() {
-        let mut sink = TraceBatch::new().filtered(|r: &TraceRow<'_>| r.id().0.is_multiple_of(2));
-        sink.accept(&TraceBatch::from_traces(&traces(5))).unwrap();
-        let gap = TraceGap::new(
-            SimInstant::EPOCH,
-            DeviceId::primary(CommandType::Arm.device()),
-            CommandType::Arm,
-            TraceMode::Remote,
-            "middlebox unavailable",
-        );
-        sink.accept_gap(&gap).unwrap();
-        let kept = sink.into_inner();
-        assert_eq!(kept.len(), 3); // ids 0, 2, 4
     }
 
     #[test]

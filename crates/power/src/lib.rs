@@ -44,8 +44,8 @@ pub use kinematics::{Elbow, Ur3eKinematics};
 pub use sample::PowerSample;
 pub use signal::{Moments, PeakStats, StreamingMoments, StreamingPeaks};
 pub use sink::{
-    accept_chunked, BlockSource, Chunked, CountingPowerSink, Filtered, PowerSink, PowerSinkExt,
-    PowerSource, RecordingMeta, DEFAULT_CHUNK_TICKS,
+    accept_chunked, Chunked, CountingPowerSink, Filtered, PowerSink, PowerSinkExt, RecordingMeta,
+    DEFAULT_CHUNK_TICKS,
 };
 pub use trajectory::{TrajectoryPoint, TrajectorySegment};
 

@@ -1,18 +1,19 @@
 //! Composable sinks and sources for columnar power telemetry.
 //!
 //! The power-plane mirror of `rad_core::sink`: a [`PowerSink`] accepts
-//! [`PowerBlock`]s (plus recording-boundary markers), a [`PowerSource`]
-//! yields them, and the combinators compose the same way the trace
-//! plane's do — [`rad_core::sink::Tee`] is reused directly (this module
-//! implements [`PowerSink`] for it), while [`Chunked`], [`Filtered`],
-//! and [`CountingPowerSink`] are power-specific because they buffer or
+//! [`PowerBlock`]s (plus recording-boundary markers), and the
+//! combinators compose the same way the trace plane's do —
+//! [`rad_core::sink::Tee`] is reused directly (this module implements
+//! [`PowerSink`] for it), while [`Chunked`], [`Filtered`], and
+//! [`CountingPowerSink`] are power-specific because they buffer or
 //! inspect f64 lanes rather than trace columns.
 //!
-//! Stored recordings reach a sink stack through [`accept_chunked`] in
-//! bounded chunks (4096 ticks by default, like the trace plane's
-//! 4096-row batches), so no single hand-off between pipeline stages
-//! carries more than one chunk; a recording that fits in one chunk is
-//! handed over as is.
+//! Stored recordings reach a sink stack through [`accept_chunked`] —
+//! the one power chunker, which the monitor's drain and in-memory
+//! detection both call — in bounded chunks (4096 ticks by default,
+//! like the trace plane's 4096-row batches), so no single hand-off
+//! between pipeline stages carries more than one chunk; a recording
+//! that fits in one chunk is handed over as is.
 
 use rad_core::sink::{first_error, Tee};
 use rad_core::{ProcedureKind, RadError, RunId};
@@ -98,61 +99,6 @@ impl PowerSink for PowerBlock {
     fn accept(&mut self, block: &PowerBlock) -> Result<(), RadError> {
         self.append(block);
         Ok(())
-    }
-}
-
-/// A producer of columnar power telemetry.
-pub trait PowerSource {
-    /// The next block, or `None` when the source is exhausted.
-    fn next_block(&mut self) -> Result<Option<PowerBlock>, RadError>;
-
-    /// Drives the whole source into `sink`, finishing it.
-    fn drain_into<S: PowerSink>(&mut self, sink: &mut S) -> Result<(), RadError>
-    where
-        Self: Sized,
-    {
-        while let Some(block) = self.next_block()? {
-            sink.accept(&block)?;
-        }
-        sink.finish()
-    }
-}
-
-/// Yields a borrowed block in fixed-size tick chunks (the power
-/// counterpart of `SliceSource`).
-#[derive(Debug)]
-pub struct BlockSource<'a> {
-    block: &'a PowerBlock,
-    chunk: usize,
-    cursor: usize,
-}
-
-impl<'a> BlockSource<'a> {
-    /// Chunks `block` into `chunk`-tick blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn new(block: &'a PowerBlock, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        BlockSource {
-            block,
-            chunk,
-            cursor: 0,
-        }
-    }
-}
-
-impl PowerSource for BlockSource<'_> {
-    fn next_block(&mut self) -> Result<Option<PowerBlock>, RadError> {
-        if self.cursor >= self.block.len() {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.chunk).min(self.block.len());
-        let mut out = PowerBlock::with_capacity(end - self.cursor);
-        out.append_range(self.block, self.cursor, end);
-        self.cursor = end;
-        Ok(Some(out))
     }
 }
 
@@ -458,20 +404,6 @@ mod tests {
             stack.finish().unwrap();
         }
         assert_eq!(chunked_out, direct);
-    }
-
-    #[test]
-    fn block_source_drains_everything() {
-        let input = ticks(10, 0.0);
-        let mut out = PowerBlock::new();
-        let mut counter = CountingPowerSink::new();
-        {
-            let mut tee = (&mut out).tee(&mut counter);
-            BlockSource::new(&input, 4).drain_into(&mut tee).unwrap();
-        }
-        assert_eq!(out, input);
-        assert_eq!(counter.blocks, 3);
-        assert_eq!(counter.max_block_ticks, 4);
     }
 
     /// Keeps every accepted block as it arrived.

@@ -75,8 +75,8 @@ use rad_core::{spec, RadError, TraceBatch};
 use serde_json::{json, Value as Json};
 
 use crate::segment::{
-    quarantine_file, segment_file_names, write_trace_segment, SegmentKind, SegmentOptions,
-    SegmentReader, SegmentSet, SegmentWriter,
+    quarantine_file, segment_file_names, write_trace_segment, SegmentOptions, SegmentReader,
+    SegmentSet, SegmentWriter,
 };
 use crate::wal::{
     atomic_write_file, sync_dir, CrashInjector, CrashPlan, RecoveryReport, Wal, WalOptions,
@@ -842,11 +842,10 @@ fn check_sealed(path: &Path, rows: u64) -> Result<(), RadError> {
         return Err(damage("named by the checkpoint but missing".into()));
     }
     let mut reader = SegmentReader::open(path)?;
-    if reader.kind() != SegmentKind::Trace || reader.rows() != rows {
+    if reader.rows() != rows {
         return Err(damage(format!(
-            "holds {} {:?} rows, the checkpoint names {rows} trace rows",
-            reader.rows(),
-            reader.kind()
+            "holds {} rows, the checkpoint names {rows}",
+            reader.rows()
         )));
     }
     reader.verify()

@@ -15,15 +15,12 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 use rad_core::par::max_workers;
-use rad_core::{
-    Alert, Label, ProcedureKind, RadError, RunId, RunMetadata, TraceBatch, TraceGap, TraceSource,
-};
+use rad_core::{Alert, Label, ProcedureKind, RadError, RunId, RunMetadata, TraceBatch, TraceGap};
 use rad_power::PowerBlock;
 use serde_json::json;
 
 use crate::csv;
 use crate::dataset::{CommandDataset, PowerDataset};
-use crate::segment::{SegmentScan, SegmentSet};
 use crate::wal::{atomic_write_file, stage_stream, sync_dir, temp_path, CrashInjector, CrashSite};
 
 fn io_err(context: &str, e: std::io::Error) -> RadError {
@@ -135,7 +132,7 @@ pub fn export_rad_alerted(
     injector: Option<&CrashInjector>,
 ) -> Result<usize, RadError> {
     let bundle = Bundle {
-        traces: Traces::Batch(commands.batch()),
+        traces: commands.batch(),
         runs: commands.runs(),
         gaps: commands.gaps(),
         alerts,
@@ -148,105 +145,9 @@ pub fn export_rad_alerted(
     write_bundle(bundle, dir, injector)
 }
 
-/// Writes the full RAD bundle under `dir`, streaming the trace and
-/// power halves straight out of sealed columnar `segments` instead of
-/// an in-memory dataset, such as a durable store's sealed trace
-/// stream. Run metadata and trace gaps are not
-/// part of the segment format, so the caller supplies them.
-///
-/// Produces a bundle byte-identical to [`export_rad`] of the
-/// equivalent in-memory dataset, provided the segments were sealed in
-/// dataset order (the default, non-partitioned [`SegmentWriter`]
-/// options preserve it).
-///
-/// # Errors
-///
-/// Returns [`RadError::Store`] on filesystem failures or injected
-/// crashes, and [`RadError::SegmentCorrupt`] when any segment had to
-/// be quarantined — a published bundle must be complete, never
-/// silently short.
-///
-/// [`SegmentWriter`]: crate::segment::SegmentWriter
-pub fn export_rad_from_segments(
-    segments: &SegmentSet,
-    runs: &[RunMetadata],
-    gaps: &[TraceGap],
-    dir: &Path,
-    injector: Option<&CrashInjector>,
-) -> Result<usize, RadError> {
-    export_rad_from_segments_alerted(segments, runs, gaps, &[], dir, injector)
-}
-
-/// [`export_rad_from_segments`] plus detection alerts, mirroring
-/// [`export_rad_alerted`]: replaying sealed segments through the
-/// streaming detectors and exporting with the resulting alerts must
-/// produce a bundle byte-identical to the live-teed in-memory export.
-///
-/// # Errors
-///
-/// As [`export_rad_from_segments`].
-pub fn export_rad_from_segments_alerted(
-    segments: &SegmentSet,
-    runs: &[RunMetadata],
-    gaps: &[TraceGap],
-    alerts: &[Alert],
-    dir: &Path,
-    injector: Option<&CrashInjector>,
-) -> Result<usize, RadError> {
-    require_complete(segments.quarantined())?;
-    let scan = segments.read_all()?;
-    require_complete(scan.quarantined())?;
-    let power_scan = segments.power_recordings()?;
-    require_complete(power_scan.quarantined())?;
-    let recordings = power_scan.into_recordings();
-    let bundle = Bundle {
-        traces: Traces::Scan(scan),
-        runs,
-        gaps,
-        alerts,
-        power: recordings
-            .iter()
-            .map(|(meta, block)| (meta.procedure, meta.run_id, block))
-            .collect(),
-    };
-    write_bundle(bundle, dir, injector)
-}
-
-/// Where a bundle's trace rows come from.
-enum Traces<'a> {
-    /// An in-memory dataset's columnar batch.
-    Batch(&'a TraceBatch),
-    /// A segment query, streamed batch by batch.
-    Scan(SegmentScan),
-}
-
-impl Traces<'_> {
-    fn rows(&self) -> u64 {
-        match self {
-            Traces::Batch(batch) => batch.len() as u64,
-            Traces::Scan(scan) => scan.rows(),
-        }
-    }
-
-    fn write_csv(self, out: &mut dyn Write) -> io::Result<()> {
-        match self {
-            Traces::Batch(batch) => csv::write_traces_csv(out, batch),
-            Traces::Scan(mut scan) => {
-                csv::write_traces_csv_header(out)?;
-                // SegmentScan::next_batch is infallible: decode already
-                // happened (and was CRC-checked) inside the query.
-                while let Ok(Some(batch)) = scan.next_batch() {
-                    csv::write_traces_csv_rows(out, &batch)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Everything one bundle publishes, whichever store it was read from.
+/// Everything one bundle publishes.
 struct Bundle<'a> {
-    traces: Traces<'a>,
+    traces: &'a TraceBatch,
     runs: &'a [RunMetadata],
     gaps: &'a [TraceGap],
     alerts: &'a [Alert],
@@ -282,12 +183,12 @@ fn write_bundle(
 
     let supervised_runs = runs.iter().filter(|r| r.label() != Label::Unknown).count();
     let power_entries: usize = power.iter().map(|(_, _, block)| block.len()).sum();
-    let trace_objects = traces.rows();
+    let trace_objects = traces.len();
 
     let mut files: Vec<(PathBuf, Encode<'_>)> = vec![
         (
             dir.join("commands.csv"),
-            Box::new(move |w| traces.write_csv(w)),
+            Box::new(move |w| csv::write_traces_csv(w, traces)),
         ),
         (
             dir.join("runs.csv"),
@@ -407,19 +308,6 @@ fn runs_csv(runs: &[RunMetadata]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// An export fed from segments refuses to publish past quarantined
-/// data: the first casualty fails the bundle instead of shrinking it.
-fn require_complete(quarantined: &[crate::wal::QuarantinedSegment]) -> Result<(), RadError> {
-    match quarantined.first() {
-        None => Ok(()),
-        Some(q) => Err(RadError::SegmentCorrupt {
-            segment: q.segment.clone(),
-            offset: q.offset,
-            reason: format!("cannot export from a quarantined segment: {}", q.reason),
-        }),
-    }
 }
 
 /// Whether `dir` holds a complete bundle: [`export_rad`] writes the
@@ -709,55 +597,6 @@ mod tests {
         assert_eq!(report.skipped(), 1);
         assert_eq!(report.issues[0].location, "commands.csv line 4");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segment_fed_export_matches_the_in_memory_bundle() {
-        use crate::segment::{SegmentOptions, SegmentSet, SegmentWriter};
-        let ds = small_dataset();
-
-        let mem_dir = tmpdir("seg-export-mem");
-        export_rad(&ds, &PowerDataset::new(), &mem_dir).unwrap();
-
-        let seg_dir = tmpdir("seg-export-segs");
-        fs::create_dir_all(&seg_dir).unwrap();
-        SegmentWriter::create(&seg_dir, SegmentOptions::default())
-            .unwrap()
-            .seal_traces(ds.batch())
-            .unwrap();
-        let set = SegmentSet::open(&seg_dir).unwrap();
-        let out_dir = tmpdir("seg-export-out");
-        let runs: Vec<_> = ds.runs().to_vec();
-        export_rad_from_segments(&set, &runs, ds.gaps(), &out_dir, None).unwrap();
-
-        // Every file of the bundle is byte-identical, manifest included.
-        for name in ["commands.csv", "runs.csv", "MANIFEST.json"] {
-            assert_eq!(
-                fs::read(mem_dir.join(name)).unwrap(),
-                fs::read(out_dir.join(name)).unwrap(),
-                "{name} must match the in-memory export"
-            );
-        }
-
-        // A quarantined segment refuses to publish a short bundle.
-        for entry in fs::read_dir(&seg_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let mut bytes = fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            fs::write(&path, bytes).unwrap();
-        }
-        let set = SegmentSet::open(&seg_dir).unwrap();
-        let short_dir = tmpdir("seg-export-short");
-        let err = export_rad_from_segments(&set, &runs, ds.gaps(), &short_dir, None).unwrap_err();
-        assert!(
-            matches!(err, RadError::SegmentCorrupt { .. }),
-            "expected corruption refusal, got {err}"
-        );
-
-        for dir in [mem_dir, seg_dir, out_dir, short_dir] {
-            let _ = fs::remove_dir_all(&dir);
-        }
     }
 
     /// Three short recordings whose procedures are out of name order,

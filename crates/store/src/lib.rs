@@ -4,10 +4,11 @@
 //! instance or a .csv file" (Fig. 3). This crate provides both halves
 //! without external services:
 //!
-//! - [`segment`] — immutable columnar segment files, standing in for
-//!   MongoDB. The paper's queries by device, procedure, run and time
-//!   are [`TraceQuery`] predicates that a [`SegmentSet`] pushes down
-//!   into its scan.
+//! - [`segment`] — immutable columnar segment files of trace rows,
+//!   standing in for MongoDB. The paper's queries by device,
+//!   procedure, run and time are [`TraceQuery`] predicates that a
+//!   [`SegmentSet`] pushes down into its scan. Power telemetry is never
+//!   sealed: the bundle publishes it as per-recording CSV.
 //! - [`DurableStore`] — the crash-safe write path: trace rows plus the
 //!   few small JSON documents a campaign keeps (runs, gaps, journal,
 //!   cursor), logged through the [`wal`] and sealed into segments at
@@ -57,12 +58,10 @@ pub mod wal;
 pub use dataset::{CommandDataset, PowerDataset, PowerRecording};
 pub use durable::{DocumentId, DurableOptions, DurableSpec, DurableStore};
 pub use export::{
-    export_rad, export_rad_alerted, export_rad_from_segments, export_rad_from_segments_alerted,
-    import_alerts, import_commands, LoadIssue, LoadReport,
+    export_rad, export_rad_alerted, import_alerts, import_commands, LoadIssue, LoadReport,
 };
 pub use segment::{
-    PowerScan, SegmentKind, SegmentOptions, SegmentReader, SegmentScan, SegmentSet, SegmentWriter,
-    TraceQuery, ZoneMap,
+    SegmentOptions, SegmentReader, SegmentScan, SegmentSet, SegmentWriter, TraceQuery, ZoneMap,
 };
 pub use wal::{
     atomic_write_file, atomic_write_stream, CrashInjector, CrashPlan, CrashSite, CrashSpec,

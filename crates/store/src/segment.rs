@@ -1,11 +1,11 @@
 //! Immutable columnar segments: the sealed on-disk form of the trace
-//! and power planes.
+//! plane.
 //!
-//! A *segment* is one file holding the columns of a [`TraceBatch`] or
-//! a [`PowerBlock`] (plus its recording metadata), each column
-//! independently encoded and CRC-protected, followed by a footer with
-//! per-column offsets and min/max *zone maps* over `(device,
-//! procedure, run_id, timestamp)`. Segments are immutable once sealed:
+//! A *segment* is one file holding the columns of a [`TraceBatch`],
+//! each column independently encoded and CRC-protected, followed by a
+//! footer with per-column offsets and min/max *zone maps* over
+//! `(device, procedure, run_id, timestamp)`. Segments are immutable
+//! once sealed:
 //! [`SegmentWriter`] splits a batch by row count and writes each part
 //! through the same atomic temp-file + fsync + rename path the WAL
 //! checkpoints use, so a crash never leaves a half segment under a
@@ -23,11 +23,10 @@
 //! zone maps prune whole segments before any column is read, surviving
 //! segments decode in parallel (crossbeam scoped threads, gated by
 //! [`rad_core::par::should_fan_out`]), and results stream out as
-//! [`TraceBatch`] / [`PowerBlock`] chunks through the
-//! [`TraceSource`] / [`PowerSource`] traits. A segment that fails its
-//! CRC is quarantined (renamed `*.quarantined`) and reported — a
-//! multi-segment scan never aborts on one bad file, mirroring WAL
-//! recovery.
+//! [`TraceBatch`] chunks through the [`TraceSource`] trait. A segment
+//! that fails its CRC is quarantined (renamed `*.quarantined`) and
+//! reported — a multi-segment scan never aborts on one bad file,
+//! mirroring WAL recovery.
 //!
 //! # File format
 //!
@@ -37,9 +36,9 @@
 //! │ column 1 payload               │
 //! │ ...                            │
 //! ├────────────────────────────────┤
-//! │ footer                         │  kind, rows, zone map,
-//! │                                │  per-column (name, encoding,
-//! │                                │  offset, len, crc32)
+//! │ footer                         │  kind (always 0), rows, zone
+//! │                                │  map, per-column (name,
+//! │                                │  encoding, offset, len, crc32)
 //! ├────────────────────────────────┤
 //! │ footer_len: u32 LE             │
 //! │ footer_crc: u32 LE             │
@@ -58,8 +57,11 @@
 //! dense `u16` token ids as plain varints, modes / procedures / labels
 //! are one byte per row, exceptions are sparse `(delta row, message)`
 //! pairs, and argument / return values use a tagged binary codec.
-//! Power segments store the 122 telemetry lanes as raw little-endian
-//! `f64` bytes, one column per lane.
+//!
+//! The footer's leading kind byte is always 0, the trace kind. Power
+//! telemetry is published as per-recording CSV, never sealed here, so
+//! a footer naming any other kind fails to open as
+//! [`RadError::SegmentCorrupt`] and is quarantined like any damage.
 //!
 //! # Examples
 //!
@@ -88,7 +90,6 @@ use rad_core::{
     DeviceId, DeviceKind, Label, ProcedureKind, RadError, RunId, TraceBatch, TraceColumns,
     TraceMode, TraceSource,
 };
-use rad_power::{accept_chunked, PowerBlock, PowerSample, PowerSink, PowerSource, RecordingMeta};
 
 use crate::wal::{atomic_write_stream, crc32, sync_dir, CrashInjector, QuarantinedSegment};
 
@@ -110,31 +111,8 @@ const TRAILER_LEN: u64 = 12;
 /// below ~1 MiB the spawn/join overhead eats the win.
 const MIN_SCAN_BYTES_PER_THREAD: usize = 1 << 20;
 
-/// What a segment holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// Columns of a [`TraceBatch`].
-    Trace,
-    /// Lanes of a [`PowerBlock`] plus its recording metadata.
-    Power,
-}
-
-impl SegmentKind {
-    fn as_u8(self) -> u8 {
-        match self {
-            SegmentKind::Trace => 0,
-            SegmentKind::Power => 1,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, String> {
-        match v {
-            0 => Ok(SegmentKind::Trace),
-            1 => Ok(SegmentKind::Power),
-            other => Err(format!("unknown segment kind {other}")),
-        }
-    }
-}
+/// The footer's leading kind byte: every segment holds traces.
+const TRACE_KIND: u8 = 0;
 
 /// Fixed enum tables used by the one-byte columns. Decode validates
 /// against these, so a corrupted byte becomes a typed error instead of
@@ -245,31 +223,6 @@ impl ZoneMap {
             zone.run_min = 0;
         }
         zone
-    }
-
-    fn for_power(meta: &RecordingMeta, block: &PowerBlock) -> ZoneMap {
-        let ts = block.lane(rad_power::block::lane::TIMESTAMP);
-        // Power timestamps are f64 seconds; the zone keeps saturating
-        // microsecond bounds, good enough for coarse time pruning.
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &t in ts {
-            let us = (t.max(0.0) * 1e6) as u64;
-            lo = lo.min(us);
-            hi = hi.max(us);
-        }
-        if ts.is_empty() {
-            lo = 0;
-        }
-        ZoneMap {
-            ts_min: lo,
-            ts_max: hi,
-            device_mask: 0,
-            procedure_mask: 1 << code_of(&PROCS, meta.procedure),
-            run_min: meta.run_id.0,
-            run_max: meta.run_id.0,
-            has_runs: true,
-            has_unassigned: false,
-        }
     }
 
     /// Whether a segment with these bounds could hold rows matching
@@ -392,11 +345,8 @@ struct ColumnMeta {
 
 #[derive(Debug, Clone)]
 struct Footer {
-    kind: SegmentKind,
     rows: u64,
     zone: ZoneMap,
-    /// Recording identity, power segments only.
-    power_meta: Option<RecordingMeta>,
     columns: Vec<ColumnMeta>,
 }
 
@@ -410,13 +360,12 @@ mod enc {
     pub const VALUES: u8 = 4;
     pub const EXCEPTIONS: u8 = 5;
     pub const OPTIONAL_RUN: u8 = 6;
-    pub const F64_RAW: u8 = 7;
 }
 
 impl Footer {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.columns.len() * 24);
-        out.push(self.kind.as_u8());
+        out.push(TRACE_KIND);
         codec::write_varint(&mut out, self.rows);
         codec::write_varint(&mut out, self.zone.ts_min);
         codec::write_varint(&mut out, self.zone.ts_max);
@@ -425,11 +374,6 @@ impl Footer {
         out.push(u8::from(self.zone.has_runs) | (u8::from(self.zone.has_unassigned) << 1));
         codec::write_varint(&mut out, u64::from(self.zone.run_min));
         codec::write_varint(&mut out, u64::from(self.zone.run_max));
-        if let Some(meta) = &self.power_meta {
-            out.push(code_of(&PROCS, meta.procedure));
-            codec::write_varint(&mut out, u64::from(meta.run_id.0));
-            codec::write_str(&mut out, &meta.description);
-        }
         codec::write_varint(&mut out, self.columns.len() as u64);
         for col in &self.columns {
             codec::write_str(&mut out, &col.name);
@@ -443,7 +387,12 @@ impl Footer {
 
     fn decode(bytes: &[u8]) -> Result<Footer, String> {
         let mut r = ByteReader::new(bytes);
-        let kind = SegmentKind::from_u8(r.u8()?)?;
+        let kind = r.u8()?;
+        if kind != TRACE_KIND {
+            return Err(format!(
+                "segment kind {kind} is not the trace kind {TRACE_KIND}"
+            ));
+        }
         let rows = r.varint()?;
         let zone = {
             let ts_min = r.varint()?;
@@ -464,18 +413,6 @@ impl Footer {
                 has_runs: flags & 1 != 0,
                 has_unassigned: flags & 2 != 0,
             }
-        };
-        let power_meta = if kind == SegmentKind::Power {
-            let procedure = from_code(&PROCS, r.u8()?, "procedure")?;
-            let run_id = RunId(u32::try_from(r.varint()?).map_err(|_| "run id overflow")?);
-            let description = r.str()?;
-            Some(RecordingMeta {
-                procedure,
-                run_id,
-                description,
-            })
-        } else {
-            None
         };
         let ncols = r.varint()? as usize;
         if ncols > 4096 {
@@ -500,17 +437,15 @@ impl Footer {
             return Err("trailing bytes after footer".to_owned());
         }
         Ok(Footer {
-            kind,
             rows,
             zone,
-            power_meta,
             columns,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Encoding a batch / block into segment bytes
+// Encoding a batch into segment bytes
 
 fn encode_trace_columns(batch: &TraceBatch) -> Vec<(&'static str, u8, Vec<u8>)> {
     let rows = batch.len();
@@ -593,46 +528,17 @@ fn encode_trace_columns(batch: &TraceBatch) -> Vec<(&'static str, u8, Vec<u8>)> 
     cols
 }
 
-fn lane_name(lane: usize) -> String {
-    format!("lane{lane:03}")
-}
-
-fn encode_power_columns(block: &PowerBlock) -> Vec<(String, u8, Vec<u8>)> {
-    (0..PowerSample::FIELD_COUNT)
-        .map(|i| {
-            let lane = block.lane(i);
-            let mut bytes = Vec::with_capacity(lane.len() * 8);
-            for &v in lane {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            (lane_name(i), enc::F64_RAW, bytes)
-        })
-        .collect()
-}
-
-/// The little-endian `f64`s of a raw power column.
-fn f64_values(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-}
-
-/// Writes one segment to `w`: the column payloads back to back, then
-/// the footer and trailer. Sealed files and the WAL's trace frames
-/// both go through here, so they share one byte format.
-fn write_segment<N: AsRef<str>>(
-    w: &mut dyn Write,
-    kind: SegmentKind,
-    rows: u64,
-    zone: ZoneMap,
-    power_meta: Option<RecordingMeta>,
-    columns: &[(N, u8, Vec<u8>)],
-) -> std::io::Result<()> {
+/// Writes the segment image of `batch` to `w`: the column payloads
+/// back to back, then the footer and trailer. Sealed files and the
+/// WAL's trace frames both go through here, so they share one byte
+/// format.
+fn write_segment(w: &mut dyn Write, batch: &TraceBatch) -> std::io::Result<()> {
+    let columns = encode_trace_columns(batch);
     let mut metas = Vec::with_capacity(columns.len());
     let mut offset = 0u64;
-    for (name, encoding, bytes) in columns {
+    for (name, encoding, bytes) in &columns {
         metas.push(ColumnMeta {
-            name: name.as_ref().to_owned(),
+            name: (*name).to_owned(),
             encoding: *encoding,
             offset,
             len: bytes.len() as u64,
@@ -641,34 +547,18 @@ fn write_segment<N: AsRef<str>>(
         offset += bytes.len() as u64;
     }
     let footer = Footer {
-        kind,
-        rows,
-        zone,
-        power_meta,
+        rows: batch.len() as u64,
+        zone: ZoneMap::for_traces(batch),
         columns: metas,
     }
     .encode();
-    for (_, _, bytes) in columns {
+    for (_, _, bytes) in &columns {
         w.write_all(bytes)?;
     }
     w.write_all(&footer)?;
     w.write_all(&(footer.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(&footer).to_le_bytes())?;
     w.write_all(MAGIC)
-}
-
-fn write_segment_file<N: AsRef<str>>(
-    path: &Path,
-    kind: SegmentKind,
-    rows: u64,
-    zone: ZoneMap,
-    power_meta: Option<RecordingMeta>,
-    columns: &[(N, u8, Vec<u8>)],
-    injector: Option<&CrashInjector>,
-) -> Result<(), RadError> {
-    atomic_write_stream(path, injector, |w| {
-        write_segment(w, kind, rows, zone, power_meta, columns)
-    })
 }
 
 /// The segment image of `batch`, in memory: exactly the bytes
@@ -682,15 +572,7 @@ pub fn trace_segment_bytes(batch: &TraceBatch) -> Vec<u8> {
 
 /// Appends the segment image of `batch` to `out`.
 pub(crate) fn write_trace_segment(out: &mut Vec<u8>, batch: &TraceBatch) {
-    write_segment(
-        out,
-        SegmentKind::Trace,
-        batch.len() as u64,
-        ZoneMap::for_traces(batch),
-        None,
-        &encode_trace_columns(batch),
-    )
-    .expect("writing to memory cannot fail");
+    write_segment(out, batch).expect("writing to memory cannot fail");
 }
 
 // ---------------------------------------------------------------------------
@@ -712,11 +594,12 @@ impl Default for SegmentOptions {
     }
 }
 
-/// Seals batches and power recordings into immutable segment files.
+/// Seals trace batches into immutable segment files.
 ///
-/// File names embed a monotonically increasing sequence number, so
-/// lexicographic order of a directory listing equals seal order —
-/// which is what [`SegmentSet`] scans in.
+/// Every file is `trace-all-NNNNNN.seg`, one stem with a zero-padded,
+/// monotonically increasing sequence number, so lexicographic order of
+/// a directory listing equals seal order (for the first million seals
+/// of a directory) — which is what [`SegmentSet::open`] scans in.
 #[derive(Debug)]
 pub struct SegmentWriter<'a> {
     dir: PathBuf,
@@ -756,14 +639,6 @@ impl<'a> SegmentWriter<'a> {
         self
     }
 
-    fn next_path(&mut self, stem: &str) -> PathBuf {
-        let path = self
-            .dir
-            .join(format!("{stem}-{:06}.{SEGMENT_EXT}", self.seq));
-        self.seq += 1;
-        path
-    }
-
     /// Seals `batch` into one or more segments, split every
     /// [`SegmentOptions::rows_per_segment`] rows in row order, and
     /// returns the paths written, in seal order. Once every file is
@@ -797,42 +672,11 @@ impl<'a> SegmentWriter<'a> {
     /// Writes `piece` as the next `trace-all-NNNNNN.seg`, without the
     /// directory fsync.
     fn write_trace_file(&mut self, piece: &TraceBatch) -> Result<PathBuf, RadError> {
-        let path = self.next_path("trace-all");
-        write_segment_file(
-            &path,
-            SegmentKind::Trace,
-            piece.len() as u64,
-            ZoneMap::for_traces(piece),
-            None,
-            &encode_trace_columns(piece),
-            self.injector,
-        )?;
-        Ok(path)
-    }
-
-    /// Seals one power recording (metadata + full block) into a
-    /// segment, fsyncs the directory, and returns its path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadError::Store`] on filesystem failure or an
-    /// injected crash.
-    pub fn seal_power(
-        &mut self,
-        meta: &RecordingMeta,
-        block: &PowerBlock,
-    ) -> Result<PathBuf, RadError> {
-        let path = self.next_path(&format!("power-run{}", meta.run_id.0));
-        write_segment_file(
-            &path,
-            SegmentKind::Power,
-            block.len() as u64,
-            ZoneMap::for_power(meta, block),
-            Some(meta.clone()),
-            &encode_power_columns(block),
-            self.injector,
-        )?;
-        sync_dir(&self.dir)?;
+        let path = self
+            .dir
+            .join(format!("trace-all-{:06}.{SEGMENT_EXT}", self.seq));
+        self.seq += 1;
+        atomic_write_stream(&path, self.injector, |w| write_segment(w, piece))?;
         Ok(path)
     }
 }
@@ -1070,12 +914,7 @@ impl SegmentReader {
         &self.path
     }
 
-    /// What the segment holds.
-    pub fn kind(&self) -> SegmentKind {
-        self.footer.kind
-    }
-
-    /// Row (trace) or tick (power) count.
+    /// Trace row count.
     pub fn rows(&self) -> u64 {
         self.footer.rows
     }
@@ -1088,18 +927,6 @@ impl SegmentReader {
     /// Total encoded column bytes (file size minus footer and trailer).
     pub fn body_bytes(&self) -> u64 {
         self.body_len
-    }
-
-    /// Recording identity of a power segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RadError::Store`] on a trace segment.
-    pub fn power_meta(&self) -> Result<RecordingMeta, RadError> {
-        self.footer
-            .power_meta
-            .clone()
-            .ok_or_else(|| RadError::Store("not a power segment".to_owned()))
     }
 
     /// Whether the named column's payload has been fetched from disk.
@@ -1290,12 +1117,8 @@ impl SegmentReader {
     /// # Errors
     ///
     /// Returns [`RadError::SegmentCorrupt`] on any CRC or structural
-    /// failure, and [`RadError::Store`] on I/O failure or a power
-    /// segment.
+    /// failure, and [`RadError::Store`] on I/O failure.
     pub fn read_batch(&mut self) -> Result<TraceBatch, RadError> {
-        if self.footer.kind != SegmentKind::Trace {
-            return Err(RadError::Store("not a trace segment".to_owned()));
-        }
         let rows = self.footer.rows as usize;
         let ids = self.u64_column("ids")?;
         let timestamps_us = self.u64_column("ts")?;
@@ -1363,9 +1186,6 @@ impl SegmentReader {
     ///
     /// Same contract as [`SegmentReader::read_batch`].
     pub fn query(&mut self, query: &TraceQuery) -> Result<Option<TraceBatch>, RadError> {
-        if self.footer.kind != SegmentKind::Trace {
-            return Err(RadError::Store("not a trace segment".to_owned()));
-        }
         if self.footer.rows == 0 {
             return Ok(None);
         }
@@ -1416,53 +1236,6 @@ impl SegmentReader {
             Ok(Some(batch.select(&hits)))
         }
     }
-
-    /// Decodes one power lane without touching the other 121.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentReader::read_batch`], on a power
-    /// segment.
-    pub fn read_lane(&mut self, lane: usize) -> Result<Vec<f64>, RadError> {
-        Ok(f64_values(self.lane_bytes(lane)?).collect())
-    }
-
-    /// One power lane's column bytes, checked to hold 8 bytes per tick.
-    fn lane_bytes(&mut self, lane: usize) -> Result<&[u8], RadError> {
-        if self.footer.kind != SegmentKind::Power {
-            return Err(RadError::Store("not a power segment".to_owned()));
-        }
-        let name = lane_name(lane);
-        let ticks = self.footer.rows as usize;
-        let idx = self.column_index(&name, enc::F64_RAW)?;
-        self.load_column(idx)?;
-        let len = self.cached(idx).len();
-        if ticks.checked_mul(8) != Some(len) {
-            return Err(self.decode_err(&name, format!("{len} bytes for {ticks} ticks")));
-        }
-        Ok(self.cached(idx))
-    }
-
-    /// Decodes the full power block, every lane straight into the
-    /// block's one slab.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentReader::read_batch`], on a power
-    /// segment.
-    pub fn read_block(&mut self) -> Result<PowerBlock, RadError> {
-        // Checking the first lane's bytes before allocating bounds the
-        // slab by bytes in the file, not by the footer's row count.
-        let ticks = self.lane_bytes(0)?.len() / 8;
-        let mut block = PowerBlock::with_repeated_lanes(ticks, []);
-        for i in 0..PowerSample::FIELD_COUNT {
-            let bytes = self.lane_bytes(i)?;
-            for (v, x) in block.lane_mut(i).iter_mut().zip(f64_values(bytes)) {
-                *v = x;
-            }
-        }
-        Ok(block)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1471,7 +1244,6 @@ impl SegmentReader {
 #[derive(Debug, Clone)]
 struct SegmentEntry {
     path: PathBuf,
-    kind: SegmentKind,
     rows: u64,
     body_bytes: u64,
     zone: ZoneMap,
@@ -1510,7 +1282,6 @@ impl SegmentSet {
             let path = dir.join(&name);
             match SegmentReader::open(&path) {
                 Ok(reader) => segments.push(SegmentEntry {
-                    kind: reader.kind(),
                     rows: reader.rows(),
                     body_bytes: reader.body_bytes(),
                     zone: *reader.zone(),
@@ -1534,7 +1305,7 @@ impl SegmentSet {
         &self.dir
     }
 
-    /// Number of healthy segments (trace and power).
+    /// Number of healthy segments.
     pub fn len(&self) -> usize {
         self.segments.len()
     }
@@ -1544,13 +1315,9 @@ impl SegmentSet {
         self.segments.is_empty()
     }
 
-    /// Total trace rows across healthy trace segments.
+    /// Total trace rows across healthy segments.
     pub fn trace_rows(&self) -> u64 {
-        self.segments
-            .iter()
-            .filter(|s| s.kind == SegmentKind::Trace)
-            .map(|s| s.rows)
-            .sum()
+        self.segments.iter().map(|s| s.rows).sum()
     }
 
     /// Total encoded column bytes across healthy segments — the
@@ -1564,7 +1331,7 @@ impl SegmentSet {
         &self.quarantined
     }
 
-    /// Runs `query` over every trace segment with zone-map pruning.
+    /// Runs `query` over every segment with zone-map pruning.
     /// Equivalent to [`SegmentSet::query_with`] with pruning on.
     ///
     /// # Errors
@@ -1575,7 +1342,7 @@ impl SegmentSet {
         self.query_with(query, true)
     }
 
-    /// Decodes every trace segment in full, in seal order.
+    /// Decodes every segment in full, in seal order.
     ///
     /// # Errors
     ///
@@ -1611,22 +1378,12 @@ impl SegmentSet {
     ///
     /// Same contract as [`SegmentSet::query`].
     pub fn query_with(&self, query: &TraceQuery, prune: bool) -> Result<SegmentScan, RadError> {
-        let traces: Vec<&SegmentEntry> = self
+        let work: Vec<&SegmentEntry> = self
             .segments
             .iter()
-            .filter(|s| s.kind == SegmentKind::Trace)
+            .filter(|s| !prune || s.zone.admits(query))
             .collect();
-        let (work, pruned) = if prune {
-            let work: Vec<&SegmentEntry> = traces
-                .iter()
-                .copied()
-                .filter(|s| s.zone.admits(query))
-                .collect();
-            let pruned = traces.len() - work.len();
-            (work, pruned)
-        } else {
-            (traces, 0)
-        };
+        let pruned = self.segments.len() - work.len();
         let results = scan_parallel(&work, |entry| {
             SegmentReader::open(&entry.path)?.query(query)
         });
@@ -1647,50 +1404,6 @@ impl SegmentSet {
             }
         }
         Ok(scan)
-    }
-
-    /// Reads every power recording whose zone map admits `query`
-    /// (device predicates never match power segments' empty device
-    /// mask unless unset; procedure/run/time prune as usual), in seal
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentSet::query`].
-    pub fn power_query(&self, query: &TraceQuery) -> Result<PowerScan, RadError> {
-        let work: Vec<&SegmentEntry> = self
-            .segments
-            .iter()
-            .filter(|s| s.kind == SegmentKind::Power)
-            .filter(|s| query.device.is_none() && s.zone.admits(query))
-            .collect();
-        let results = scan_parallel(&work, |entry| {
-            let mut reader = SegmentReader::open(&entry.path)?;
-            Ok((reader.power_meta()?, reader.read_block()?))
-        });
-        let mut scan = PowerScan {
-            recordings: VecDeque::with_capacity(work.len()),
-            quarantined: Vec::new(),
-        };
-        for (entry, result) in work.iter().zip(results) {
-            match result {
-                Ok(pair) => scan.recordings.push_back(pair),
-                Err(err @ RadError::SegmentCorrupt { .. }) => {
-                    scan.quarantined.push(quarantine_file(&entry.path, err)?);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(scan)
-    }
-
-    /// All power recordings, in seal order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentSet::query`].
-    pub fn power_recordings(&self) -> Result<PowerScan, RadError> {
-        self.power_query(&TraceQuery::new())
     }
 }
 
@@ -1760,7 +1473,7 @@ pub(crate) fn quarantine_file(path: &Path, err: RadError) -> Result<QuarantinedS
 
 /// The result of a trace query: matching batches in seal order, plus
 /// the pruning and quarantine bookkeeping. Implements [`TraceSource`],
-/// so CSV writers and exporters stream straight from segments.
+/// so a scan drains batch by batch into any trace sink.
 #[derive(Debug)]
 pub struct SegmentScan {
     batches: VecDeque<TraceBatch>,
@@ -1806,67 +1519,6 @@ impl SegmentScan {
 impl TraceSource for SegmentScan {
     fn next_batch(&mut self) -> Result<Option<TraceBatch>, RadError> {
         Ok(self.batches.pop_front())
-    }
-}
-
-/// The result of a power query: `(metadata, block)` pairs in seal
-/// order. Implements [`PowerSource`] over the blocks.
-#[derive(Debug)]
-pub struct PowerScan {
-    recordings: VecDeque<(RecordingMeta, PowerBlock)>,
-    quarantined: Vec<QuarantinedSegment>,
-}
-
-impl PowerScan {
-    /// Recordings still queued.
-    pub fn len(&self) -> usize {
-        self.recordings.len()
-    }
-
-    /// Whether no recordings are queued.
-    pub fn is_empty(&self) -> bool {
-        self.recordings.is_empty()
-    }
-
-    /// Segments quarantined during this scan.
-    pub fn quarantined(&self) -> &[QuarantinedSegment] {
-        &self.quarantined
-    }
-
-    /// Consumes the scan into its recordings.
-    pub fn into_recordings(self) -> Vec<(RecordingMeta, PowerBlock)> {
-        self.recordings.into()
-    }
-
-    /// Replays every queued recording through `sink` with the same
-    /// boundary discipline the live monitor follows: each recording's
-    /// metadata is announced via `begin_recording` before its samples
-    /// arrive through [`accept_chunked`] (the decoded block itself when
-    /// it fits in `chunk` ticks, `chunk`-tick pieces otherwise), and the
-    /// sink is finished once the scan is drained. The plain
-    /// [`PowerSource`] impl drops the metadata; streaming detectors need
-    /// it to segment their per-recording state, so sealed campaigns
-    /// replay through this path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero and the scan holds a recording.
-    pub fn replay_into<S: PowerSink>(self, sink: &mut S, chunk: usize) -> Result<(), RadError> {
-        for (meta, block) in self.recordings {
-            sink.begin_recording(&meta)?;
-            accept_chunked(sink, &block, chunk)?;
-        }
-        sink.finish()
-    }
-}
-
-impl PowerSource for PowerScan {
-    fn next_block(&mut self) -> Result<Option<PowerBlock>, RadError> {
-        Ok(self.recordings.pop_front().map(|(_, block)| block))
     }
 }
 
@@ -1929,23 +1581,6 @@ mod tests {
             batch.push_owned(b.build());
         }
         batch
-    }
-
-    fn power_block(ticks: usize, scale: f64) -> PowerBlock {
-        let lanes = (0..PowerSample::FIELD_COUNT)
-            .map(|lane| {
-                (0..ticks)
-                    .map(|t| {
-                        if lane == rad_power::block::lane::TIMESTAMP {
-                            t as f64 * 0.25
-                        } else {
-                            scale * (lane as f64) + t as f64
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        PowerBlock::from_lanes(lanes).unwrap()
     }
 
     #[test]
@@ -2175,6 +1810,41 @@ mod tests {
     }
 
     #[test]
+    fn a_footer_of_any_other_kind_is_quarantined_at_open() {
+        let dir = temp_dir("kind");
+        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
+        let victim = writer.seal_traces(&synthesize(40)).unwrap().remove(0);
+        let survivor = synthesize(10);
+        writer.seal_traces(&survivor).unwrap();
+
+        // Kind 1 behind a footer CRC that still holds: only the kind
+        // check can refuse it.
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let footer_len = u32::from_le_bytes(bytes[trailer..trailer + 4].try_into().unwrap());
+        let footer_start = trailer - footer_len as usize;
+        assert_eq!(bytes[footer_start], TRACE_KIND);
+        bytes[footer_start] = 1;
+        let crc = crc32(&bytes[footer_start..trailer]);
+        bytes[trailer + 4..trailer + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&victim, &bytes).unwrap();
+
+        match SegmentReader::open(&victim) {
+            Err(RadError::SegmentCorrupt { reason, .. }) => {
+                assert!(reason.contains("kind 1"), "{reason}");
+            }
+            other => panic!("kind 1 must be corruption, got {other:?}"),
+        }
+        let set = SegmentSet::open(&dir).unwrap();
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.quarantined().len(), 1);
+        assert!(set.quarantined()[0].reason.contains("kind 1"));
+        assert!(!victim.exists(), "the victim is renamed aside");
+        assert_eq!(set.read_all().unwrap().into_batch(), survivor);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn truncated_file_is_rejected() {
         let dir = temp_dir("truncated");
         let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
@@ -2227,121 +1897,6 @@ mod tests {
         assert_ne!(p0, p1);
         assert!(p1.to_string_lossy().contains("000001"));
         assert_eq!(SegmentSet::open(&dir).unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn power_recordings_round_trip_with_lazy_lanes() {
-        let dir = temp_dir("power");
-        let meta_a = RecordingMeta {
-            procedure: ProcedureKind::VelocitySweep,
-            run_id: RunId(4),
-            description: "run 4".to_owned(),
-        };
-        let meta_b = RecordingMeta {
-            procedure: ProcedureKind::PayloadSweep,
-            run_id: RunId(9),
-            description: "run 9".to_owned(),
-        };
-        let (block_a, block_b) = (power_block(64, 1.0), power_block(32, -2.0));
-        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-        let path_a = writer.seal_power(&meta_a, &block_a).unwrap();
-        writer.seal_power(&meta_b, &block_b).unwrap();
-
-        let set = SegmentSet::open(&dir).unwrap();
-        let recordings = set.power_recordings().unwrap().into_recordings();
-        assert_eq!(recordings.len(), 2);
-        assert_eq!(recordings[0].0, meta_a);
-        assert_eq!(recordings[0].1, block_a);
-        assert_eq!(recordings[1].0, meta_b);
-        assert_eq!(recordings[1].1, block_b);
-
-        // Run-filtered power query prunes by zone map.
-        let only_b = set.power_query(&TraceQuery::new().run(RunId(9))).unwrap();
-        assert_eq!(only_b.len(), 1);
-        assert_eq!(only_b.into_recordings()[0].0, meta_b);
-        // A device predicate can never match a power segment.
-        assert!(set
-            .power_query(&TraceQuery::new().device(DeviceKind::C9))
-            .unwrap()
-            .is_empty());
-
-        // Single-lane reads leave the other 121 lanes untouched.
-        let mut reader = SegmentReader::open(&path_a).unwrap();
-        let ts = reader.read_lane(rad_power::block::lane::TIMESTAMP).unwrap();
-        assert_eq!(ts, block_a.lane(rad_power::block::lane::TIMESTAMP));
-        assert!(reader.column_loaded(&lane_name(0)));
-        assert!(!reader.column_loaded(&lane_name(1)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn power_replay_announces_metadata_and_chunks_every_sample() {
-        // A sink that journals the boundary discipline replay promises.
-        #[derive(Default)]
-        struct Journal {
-            metas: Vec<RecordingMeta>,
-            chunk_lens: Vec<usize>,
-            finished: bool,
-        }
-        impl PowerSink for Journal {
-            fn accept(&mut self, block: &PowerBlock) -> Result<(), RadError> {
-                self.chunk_lens.push(block.len());
-                Ok(())
-            }
-            fn begin_recording(&mut self, meta: &RecordingMeta) -> Result<(), RadError> {
-                self.metas.push(meta.clone());
-                Ok(())
-            }
-            fn finish(&mut self) -> Result<(), RadError> {
-                self.finished = true;
-                Ok(())
-            }
-        }
-
-        let dir = temp_dir("replay");
-        let meta_a = RecordingMeta {
-            procedure: ProcedureKind::VelocitySweep,
-            run_id: RunId(4),
-            description: "run 4".to_owned(),
-        };
-        let meta_b = RecordingMeta {
-            procedure: ProcedureKind::PayloadSweep,
-            run_id: RunId(9),
-            description: "run 9".to_owned(),
-        };
-        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-        writer.seal_power(&meta_a, &power_block(10, 1.0)).unwrap();
-        writer.seal_power(&meta_b, &power_block(4, -2.0)).unwrap();
-
-        let set = SegmentSet::open(&dir).unwrap();
-        let mut journal = Journal::default();
-        set.power_recordings()
-            .unwrap()
-            .replay_into(&mut journal, 3)
-            .unwrap();
-        assert_eq!(journal.metas, vec![meta_a, meta_b]);
-        assert_eq!(journal.chunk_lens, vec![3, 3, 3, 1, 3, 1]);
-        assert!(journal.finished);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn trace_queries_ignore_power_segments_and_vice_versa() {
-        let dir = temp_dir("mixed");
-        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-        let batch = synthesize(20);
-        writer.seal_traces(&batch).unwrap();
-        let meta = RecordingMeta {
-            procedure: ProcedureKind::Unknown,
-            run_id: RunId(0),
-            description: String::new(),
-        };
-        writer.seal_power(&meta, &power_block(8, 0.5)).unwrap();
-        let set = SegmentSet::open(&dir).unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.read_all().unwrap().into_batch(), batch);
-        assert_eq!(set.power_recordings().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,12 +4,10 @@
 //! ([`StreamingPerplexity`],
 //! [`rad_analysis::streaming::StreamingPowerStats`]); this module
 //! plugs them into the campaign artifacts: fit a detector from a
-//! campaign's benign supervised runs, stream a finished campaign (or
-//! its sealed segments) through the stages, and publish the export
-//! bundle with the resulting `alerts.csv`. Replaying the in-memory
-//! dataset and replaying the sealed segments walk the same rows in the
-//! same order, so [`detect_campaign`] and [`detect_segments`] produce
-//! identical alert sets — the conformance suite pins that.
+//! campaign's benign supervised runs and stream the finished campaign's
+//! in-memory dataset through the stages. The scenario plane publishes
+//! the resulting alerts as the bundle's `alerts.csv` through
+//! [`rad_store::export::export_rad_alerted`].
 
 use rad_analysis::detector::FittedDetector;
 use rad_analysis::{
@@ -22,9 +20,6 @@ use rad_core::{
     SimInstant, TraceId, TraceObject, TraceSink, TraceSource,
 };
 use rad_power::{accept_chunked, PowerSink, RecordingMeta};
-use rad_store::export::export_rad_alerted;
-use rad_store::segment::SegmentSet;
-use std::path::Path;
 
 use crate::attacks::AttackTrace;
 use crate::campaign::CampaignDataset;
@@ -214,8 +209,8 @@ fn hand_wired_spec(power: PowerAlertConfig, chunk: usize) -> DetectSpec {
 }
 
 /// [`detect_campaign`] with the stages built from a [`DetectSpec`] —
-/// the scenario plane's detection path. The hand-wired entry points
-/// are thin wrappers over this.
+/// the scenario plane's detection path. The hand-wired
+/// [`detect_campaign`] is a thin wrapper over this.
 ///
 /// Both stages read the dataset in place: the perplexity stage gets
 /// `spec.chunk`-row slices of the command dataset's columnar batch (no
@@ -264,101 +259,6 @@ pub fn detect_campaign_spec(
         runs,
         recordings,
     })
-}
-
-/// [`detect_campaign`] over sealed segments instead of the in-memory
-/// dataset: the trace scan and the power recordings replay through the
-/// same stages, in seal order. A campaign sealed in dataset order
-/// produces an outcome identical to [`detect_campaign`] of the
-/// dataset it came from.
-///
-/// # Errors
-///
-/// Propagates scan and stage errors, including
-/// [`RadError::SegmentCorrupt`] on quarantined segments.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn detect_segments(
-    segments: &SegmentSet,
-    detector: &FittedDetector<CommandType>,
-    power: PowerAlertConfig,
-    chunk: usize,
-) -> Result<DetectionOutcome, RadError> {
-    detect_segments_spec(segments, detector, &hand_wired_spec(power, chunk))
-}
-
-/// [`detect_segments`] with the stages built from a [`DetectSpec`] —
-/// the scenario plane's replay-side detection path.
-///
-/// # Errors
-///
-/// Propagates scan and stage errors, including
-/// [`RadError::SegmentCorrupt`] on quarantined segments.
-///
-/// # Panics
-///
-/// Panics if `spec.chunk` is zero.
-pub fn detect_segments_spec(
-    segments: &SegmentSet,
-    detector: &FittedDetector<CommandType>,
-    spec: &DetectSpec,
-) -> Result<DetectionOutcome, RadError> {
-    let mut stage = spec.perplexity.build(detector, Vec::new());
-    let mut scan = segments.read_all()?;
-    if let Some(q) = scan.quarantined().first() {
-        return Err(RadError::SegmentCorrupt {
-            segment: q.segment.clone(),
-            offset: q.offset,
-            reason: format!("cannot detect over a quarantined segment: {}", q.reason),
-        });
-    }
-    while let Some(batch) = scan.next_batch()? {
-        stage.accept(&batch)?;
-    }
-    stage.finish()?;
-    let runs = stage.completed_runs().to_vec();
-    let mut alerts = stage.into_sink();
-
-    let mut watt = spec.power.build(Vec::new());
-    segments
-        .power_recordings()?
-        .replay_into(&mut watt, spec.chunk)?;
-    let recordings = watt.recordings().to_vec();
-    alerts.extend(watt.into_sink());
-
-    Ok(DetectionOutcome {
-        alerts,
-        runs,
-        recordings,
-    })
-}
-
-/// Finalizes a campaign into a published bundle with its detection
-/// verdicts: streams the dataset through the detection stages and
-/// writes the export with `alerts.csv` (and the manifest's alert
-/// count) included. Returns the number of files written and the
-/// outcome that was persisted.
-///
-/// # Errors
-///
-/// Propagates detection and export failures.
-pub fn export_detected(
-    dataset: &CampaignDataset,
-    detector: &FittedDetector<CommandType>,
-    power: PowerAlertConfig,
-    dir: &Path,
-) -> Result<(usize, DetectionOutcome), RadError> {
-    let outcome = detect_campaign(dataset, detector, power, rad_power::DEFAULT_CHUNK_TICKS)?;
-    let files = export_rad_alerted(
-        dataset.command(),
-        dataset.power(),
-        &outcome.alerts,
-        dir,
-        None,
-    )?;
-    Ok((files, outcome))
 }
 
 /// Lifts bare command sequences into one-run-per-sequence trace
@@ -422,64 +322,4 @@ pub fn benchmark_streaming_detector(
         cm.record(run >= benign.len(), score.alarmed);
     }
     Ok(cm)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::CampaignBuilder;
-
-    fn small_campaign() -> CampaignDataset {
-        CampaignBuilder::new(42).scale(0.01).build()
-    }
-
-    #[test]
-    fn campaign_and_segment_detection_agree() {
-        use rad_store::segment::{SegmentOptions, SegmentWriter};
-        let dataset = small_campaign();
-        let detector = fit_detector(&dataset, 2).unwrap();
-        let live = detect_campaign(&dataset, &detector, PowerAlertConfig::default(), 256).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("rad-detect-seg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-        writer.seal_traces(dataset.command().batch()).unwrap();
-        for r in dataset.power().recordings() {
-            let meta = RecordingMeta {
-                procedure: r.procedure,
-                run_id: r.run_id,
-                description: r.description.clone(),
-            };
-            writer.seal_power(&meta, r.profile.block()).unwrap();
-        }
-        let set = SegmentSet::open(&dir).unwrap();
-        // Different chunking on purpose: replay granularity must not
-        // change a single verdict or byte of the outcome.
-        let replay = detect_segments(&set, &detector, PowerAlertConfig::default(), 7).unwrap();
-        assert_eq!(live.alerts, replay.alerts);
-        assert_eq!(live.runs, replay.runs);
-        // Segment replay knows recording metadata; the in-memory pass
-        // reconstructs the same one from the dataset.
-        assert_eq!(live.recordings, replay.recordings);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn export_detected_publishes_the_alert_table() {
-        let dataset = small_campaign();
-        let detector = fit_detector(&dataset, 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("rad-detect-export-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (files, outcome) =
-            export_detected(&dataset, &detector, PowerAlertConfig::default(), &dir).unwrap();
-        assert!(files >= 3);
-        let back = rad_store::export::import_alerts(&dir).unwrap();
-        assert_eq!(back, outcome.alerts);
-        if outcome.alerts.is_empty() {
-            assert!(!dir.join("alerts.csv").exists());
-        } else {
-            assert!(dir.join("alerts.csv").exists());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

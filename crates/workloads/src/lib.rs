@@ -47,9 +47,8 @@ pub mod session;
 pub use attacks::{AttackKind, AttackTrace};
 pub use campaign::{CampaignBuilder, CampaignDataset, CampaignSpec, ProcedureRun};
 pub use detect::{
-    benchmark_streaming_detector, detect_campaign, detect_campaign_spec, detect_segments,
-    detect_segments_spec, export_detected, fit_detector, DetectSpec, DetectionOutcome,
-    PowerAlertConfig,
+    benchmark_streaming_detector, detect_campaign, detect_campaign_spec, fit_detector, DetectSpec,
+    DetectionOutcome, PowerAlertConfig,
 };
 pub use procedures::{P1Variant, P2Variant, P3Variant, SOLIDS};
 pub use remote::{

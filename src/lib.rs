@@ -43,10 +43,10 @@ pub mod prelude {
         NgramCounter, ParamTokenizer, PerplexityDetector, Smoothing, TfIdf,
     };
     pub use rad_core::{
-        Chunked, Command, CommandCategory, CommandType, CountingSink, DeviceId, DeviceKind,
-        Filtered, Label, ProcedureKind, RadError, RunId, RunMetadata, SimClock, SimDuration,
-        SimInstant, SliceSource, Tee, TraceBatch, TraceGap, TraceId, TraceMode, TraceObject,
-        TraceRow, TraceSink, TraceSinkExt, TraceSource, Value,
+        Chunked, Command, CommandCategory, CommandType, CountingSink, DeviceId, DeviceKind, Label,
+        ProcedureKind, RadError, RunId, RunMetadata, SimClock, SimDuration, SimInstant,
+        SliceSource, Tee, TraceBatch, TraceGap, TraceId, TraceMode, TraceObject, TraceRow,
+        TraceSink, TraceSinkExt, TraceSource, Value,
     };
     pub use rad_devices::{Device, LabRig};
     pub use rad_middlebox::rpc::{Duplex, FrameCodec, RetryPolicy, Transport};
@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use rad_power::{
         CurrentProfile, Elbow, PowerBlock, PowerRow, PowerSample, PowerSink, PowerSinkExt,
-        PowerSource, ProfileRequest, TrajectorySegment, Ur3e, Ur3eKinematics,
+        ProfileRequest, TrajectorySegment, Ur3e, Ur3eKinematics,
     };
     pub use rad_store::{
         CommandDataset, CrashInjector, CrashPlan, CrashSite, DurableOptions, DurableStore,

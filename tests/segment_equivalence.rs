@@ -1,6 +1,7 @@
 //! Golden suite for the columnar segment store: whatever path data
-//! takes through segments — any chunking, pruned or unpruned, straight
-//! to a bundle — the bytes that come out are the bytes that went in.
+//! takes through segments — any chunking, pruned or unpruned, through
+//! a durable store to a bundle — the bytes that come out are the bytes
+//! that went in.
 //!
 //! Three equivalence ladders plus codec properties:
 //!
@@ -8,8 +9,9 @@
 //!    1 / 7 / 256 / unbounded;
 //! 2. pruned queries == unpruned queries == the in-memory reference
 //!    filter, across every predicate shape;
-//! 3. a bundle exported from segments is byte-identical to the bundle
-//!    exported from the in-memory dataset.
+//! 3. a bundle exported from a durable store's trace stream (sealed
+//!    segments plus the rows logged since) is byte-identical to the
+//!    bundle exported from the in-memory dataset.
 //!
 //! Codec property tests honour `PROPTEST_CASES` (CI raises it).
 
@@ -21,10 +23,10 @@ use rad_core::{
     Command, CommandType, DeviceId, DeviceKind, Label, ProcedureKind, RunId, SimDuration,
     SimInstant, TraceBatch, TraceId, TraceObject, TraceSink, Value,
 };
-use rad_power::{CurrentProfile, PowerBlock, RecordingMeta};
+use rad_power::{CurrentProfile, PowerBlock};
 use rad_store::segment::codec;
 use rad_store::{
-    export_rad, export_rad_from_segments, CommandDataset, PowerDataset, PowerRecording,
+    export_rad, CommandDataset, DurableOptions, DurableStore, PowerDataset, PowerRecording,
     SegmentOptions, SegmentReader, SegmentSet, SegmentWriter, TraceQuery,
 };
 
@@ -193,7 +195,7 @@ fn power_block(ticks: usize) -> PowerBlock {
 }
 
 #[test]
-fn bundle_from_segments_is_byte_identical_to_in_memory_export() {
+fn durable_stream_exports_the_in_memory_bundle() {
     // The command half, with runs and a gap-free record.
     let batch = synthesize(300);
     let mut commands = CommandDataset::new();
@@ -214,52 +216,42 @@ fn bundle_from_segments_is_byte_identical_to_in_memory_export() {
         );
     }
 
-    // The power half: two recordings, sealed in dataset order.
+    // The power half: two recordings, shared by both exports.
     let mut power = PowerDataset::new();
-    let metas = [
-        RecordingMeta {
-            procedure: ProcedureKind::VelocitySweep,
-            run_id: RunId(0),
-            description: "velocity=100mm/s".to_owned(),
-        },
-        RecordingMeta {
-            procedure: ProcedureKind::PayloadSweep,
-            run_id: RunId(1),
-            description: "payload=250g".to_owned(),
-        },
-    ];
-    let blocks = [power_block(48), power_block(31)];
-    for (meta, block) in metas.iter().zip(&blocks) {
+    for (procedure, run, description, ticks) in [
+        (ProcedureKind::VelocitySweep, 0, "velocity=100mm/s", 48),
+        (ProcedureKind::PayloadSweep, 1, "payload=250g", 31),
+    ] {
         power.push(PowerRecording {
-            procedure: meta.procedure,
-            run_id: meta.run_id,
-            description: meta.description.clone(),
-            profile: CurrentProfile::from_block(block.clone()),
+            procedure,
+            run_id: RunId(run),
+            description: description.to_owned(),
+            profile: CurrentProfile::from_block(power_block(ticks)),
         });
     }
 
     let mem_dir = tmpdir("bundle-mem");
     let mem_files = export_rad(&commands, &power, &mem_dir).unwrap();
 
-    let seg_dir = tmpdir("bundle-segs");
-    let mut writer = SegmentWriter::create(&seg_dir, SegmentOptions::default()).unwrap();
-    writer.seal_traces(commands.batch()).unwrap();
-    for (meta, block) in metas.iter().zip(&blocks) {
-        writer.seal_power(meta, block).unwrap();
-    }
-    let set = SegmentSet::open(&seg_dir).unwrap();
+    // 200 rows sealed by a checkpoint, 100 more logged after it.
+    let store_dir = tmpdir("bundle-store");
+    let (store, _) = DurableStore::open(&store_dir, DurableOptions::default()).unwrap();
+    store.append_traces(&batch.slice(0..200)).unwrap();
+    store.checkpoint().unwrap();
+    store.append_traces(&batch.slice(200..300)).unwrap();
 
-    let seg_out = tmpdir("bundle-out");
-    let runs: Vec<_> = commands.runs().to_vec();
-    let seg_files = export_rad_from_segments(&set, &runs, commands.gaps(), &seg_out, None).unwrap();
-    assert_eq!(seg_files, mem_files, "same file count");
+    let streamed =
+        CommandDataset::from_batch(store.read_traces().unwrap(), commands.runs().to_vec());
+    let store_out = tmpdir("bundle-out");
+    let store_files = export_rad(&streamed, &power, &store_out).unwrap();
+    assert_eq!(store_files, mem_files, "same file count");
 
     // Walk the in-memory bundle and demand byte identity, then check
-    // the segment bundle added nothing extra.
+    // the store's bundle added nothing extra.
     let mut compared = 0;
     for entry in walk(&mem_dir) {
         let rel = entry.strip_prefix(&mem_dir).unwrap();
-        let other = seg_out.join(rel);
+        let other = store_out.join(rel);
         assert_eq!(
             fs::read(&entry).unwrap(),
             fs::read(&other).unwrap_or_else(|_| panic!("missing {}", other.display())),
@@ -269,9 +261,16 @@ fn bundle_from_segments_is_byte_identical_to_in_memory_export() {
         compared += 1;
     }
     assert_eq!(compared, mem_files, "every exported file compared");
-    assert_eq!(walk(&seg_out).len(), mem_files, "no extra files");
+    assert_eq!(walk(&store_out).len(), mem_files, "no extra files");
 
-    for dir in [mem_dir, seg_dir, seg_out] {
+    // The segments alone hold only what the checkpoint sealed: an
+    // export from them would miss the rows logged since.
+    let sealed = store.segments().unwrap().read_all().unwrap();
+    assert!(sealed.quarantined().is_empty());
+    assert_eq!(sealed.into_batch(), batch.slice(0..200));
+
+    drop(store);
+    for dir in [mem_dir, store_dir, store_out] {
         fs::remove_dir_all(&dir).unwrap();
     }
 }

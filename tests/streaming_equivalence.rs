@@ -26,10 +26,10 @@ use rad::analysis::streaming::{
 use rad::core::SharedAlerts;
 use rad::power::block::lane;
 use rad::power::signal::{moments, peak_stats};
-use rad::power::{BlockSource, PowerSink, PowerSource, RecordingMeta};
+use rad::power::{accept_chunked, PowerSink, RecordingMeta};
 use rad::prelude::*;
 use rad::store::segment::{SegmentOptions, SegmentSet, SegmentWriter};
-use rad::workloads::{detect_campaign, detect_segments, fit_detector, PowerAlertConfig};
+use rad::workloads::{detect_campaign, fit_detector, PowerAlertConfig};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -184,11 +184,7 @@ fn streaming_power_stats_equal_batch_kernels_at_every_chunk_size() {
                     description: recording.description.clone(),
                 })
                 .unwrap();
-            let block = recording.profile.block();
-            let mut source = BlockSource::new(block, chunk.min(block.len().max(1)));
-            while let Some(piece) = source.next_block().unwrap() {
-                stage.accept(&piece).unwrap();
-            }
+            accept_chunked(&mut stage, recording.profile.block(), chunk).unwrap();
         }
         stage.finish().unwrap();
         let stats = stage.recordings().to_vec();
@@ -218,61 +214,12 @@ fn streaming_power_stats_equal_batch_kernels_at_every_chunk_size() {
 }
 
 #[test]
-fn campaign_detection_equals_segment_replay_detection() {
+fn campaign_detection_is_invariant_to_chunk_size() {
     let campaign = campaign();
     let detector = fit_detector(&campaign, 2).unwrap();
-    let live = detect_campaign(&campaign, &detector, PowerAlertConfig::default(), 256).unwrap();
-
-    let dir = tmpdir("segments");
-    let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-    writer.seal_traces(campaign.command().batch()).unwrap();
-    for recording in campaign.power().recordings() {
-        writer
-            .seal_power(
-                &RecordingMeta {
-                    procedure: recording.procedure,
-                    run_id: recording.run_id,
-                    description: recording.description.clone(),
-                },
-                recording.profile.block(),
-            )
-            .unwrap();
-    }
-    let set = SegmentSet::open(&dir).unwrap();
-    for chunk in [1, 7, 256] {
-        let replay = detect_segments(&set, &detector, PowerAlertConfig::default(), chunk).unwrap();
-        assert_eq!(live.alerts, replay.alerts, "chunk={chunk}: alerts");
-        assert_eq!(live.runs, replay.runs, "chunk={chunk}: run scores");
-        assert_eq!(live.recordings, replay.recordings, "chunk={chunk}: power");
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn in_memory_detection_equals_segment_replay_at_every_chunk_size() {
-    let campaign = campaign();
-    let detector = fit_detector(&campaign, 2).unwrap();
-
-    let dir = tmpdir("in-memory-chunks");
-    let mut writer = SegmentWriter::create(&dir, SegmentOptions::default()).unwrap();
-    writer.seal_traces(campaign.command().batch()).unwrap();
-    for recording in campaign.power().recordings() {
-        writer
-            .seal_power(
-                &RecordingMeta {
-                    procedure: recording.procedure,
-                    run_id: recording.run_id,
-                    description: recording.description.clone(),
-                },
-                recording.profile.block(),
-            )
-            .unwrap();
-    }
-    let set = SegmentSet::open(&dir).unwrap();
-    let replay = detect_segments(&set, &detector, PowerAlertConfig::default(), 256).unwrap();
 
     // Sizes 1 and 7 split the trace batch and every recording longer
-    // than 7 ticks; the last size hands the batch and every recording
+    // than 7 ticks; the reference hands the batch and every recording
     // over whole.
     let longest = campaign
         .power()
@@ -283,14 +230,21 @@ fn in_memory_detection_equals_segment_replay_at_every_chunk_size() {
         .unwrap();
     assert!(longest > 7, "some recording is split at chunk 7");
     let whole = campaign.command().len().max(longest) + 1;
-    for chunk in [1, 7, 256, rad::power::DEFAULT_CHUNK_TICKS, whole] {
-        let live =
+    let unsplit =
+        detect_campaign(&campaign, &detector, PowerAlertConfig::default(), whole).unwrap();
+    assert!(!unsplit.runs.is_empty(), "the campaign scores runs");
+    assert_eq!(
+        unsplit.recordings.len(),
+        campaign.power().recordings().len(),
+        "every recording is summarized"
+    );
+    for chunk in [1, 7, 256, rad::power::DEFAULT_CHUNK_TICKS] {
+        let split =
             detect_campaign(&campaign, &detector, PowerAlertConfig::default(), chunk).unwrap();
-        assert_eq!(live.alerts, replay.alerts, "chunk={chunk}: alerts");
-        assert_eq!(live.runs, replay.runs, "chunk={chunk}: run scores");
-        assert_eq!(live.recordings, replay.recordings, "chunk={chunk}: power");
+        assert_eq!(split.alerts, unsplit.alerts, "chunk={chunk}: alerts");
+        assert_eq!(split.runs, unsplit.runs, "chunk={chunk}: run scores");
+        assert_eq!(split.recordings, unsplit.recordings, "chunk={chunk}: power");
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
